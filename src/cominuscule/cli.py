@@ -28,7 +28,8 @@ from .verify import sweep
 
 # Carter node i of a component = Bourbaki node CARTER_TO_BOURBAKI[...][i-1].
 # Only the exceptional families are numbered differently; classical families
-# and G2 agree. The E7 row follows the same tail-first pattern as E6 and E8.
+# and G2 agree. Each E row walks the longest arm in to the trivalent node 4,
+# then takes the one-node arm (node 2), then walks out the remaining arm.
 CARTER_TO_BOURBAKI = {
     ("E", 6): (1, 3, 4, 2, 5, 6),
     ("E", 7): (7, 6, 5, 4, 2, 3, 1),

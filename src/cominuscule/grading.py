@@ -9,9 +9,12 @@ cross contributes nothing and is normally an input error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import DecorationError, NotARootError
-from .rootsys import DiagramType, Root, RootSystem, build_root_system, negate
+import numpy as np
+
+from .errors import DecorationError
+from .rootsys import DiagramType, Root, RootSystem, _root_index, build_root_system
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,13 @@ class Decoration:
 
 
 class GradedRootSystem:
-    """A root system together with the grading cut out by a decoration."""
+    """A root system together with the grading cut out by a decoration.
+
+    Per root index it holds `grade_of_root` and `top_of_root` (the top grade
+    of the root's component), and the box as `box_mask` and ascending
+    `box_idx`, all computed once here.  `grades` is a tuple-keyed view built
+    on first use.
+    """
 
     def __init__(
         self,
@@ -60,21 +69,19 @@ class GradedRootSystem:
         self.rs = rs
         self.decoration = decoration
 
-        crossed = decoration.crossed_nodes()
-        self.grades: dict[Root, int] = {
-            r: sum(r[i] for i in crossed) for r in rs.roots
-        }
+        grade = rs.M[:, list(decoration.crossed_nodes())].sum(1)
+        top = np.zeros(len(rs.dtype.components), dtype=np.int64)
+        np.maximum.at(top, rs.component_of_root, grade)
+        self.max_grades = tuple(top.tolist())
+        self.grade_of_root = grade
+        self.top_of_root = top = top[rs.component_of_root]
+        # point factors have top grade 0 and no box
+        self.box_mask = (grade == top) & (top > 0)
+        self.box_idx = self.box_mask.nonzero()[0]
 
-        ncomp = len(rs.dtype.components)
-        max_grades = [0] * ncomp
-        for r in rs.positive_roots:
-            ci = rs.root_component(r)
-            g = self.grades[r]
-            if g > max_grades[ci]:
-                max_grades[ci] = g
-        self.max_grades = tuple(max_grades)
-
-        self.point_components = tuple(i for i, m in enumerate(max_grades) if m == 0)
+        self.point_components = tuple(
+            i for i, m in enumerate(self.max_grades) if m == 0
+        )
         if self.point_components and not allow_point_factors:
             names = ", ".join(
                 str(rs.dtype.components[i]) for i in self.point_components
@@ -84,8 +91,10 @@ class GradedRootSystem:
                 " dropping to ignore them"
             )
 
-    def grade(self, root: Root) -> int:
-        return self.grades[root]
+    @cached_property
+    def grades(self) -> dict[Root, int]:
+        """Coefficient tuple -> grade; a view for callers holding tuples."""
+        return dict(zip(self.rs.roots, self.grade_of_root.tolist()))
 
 
 def grade_diagram(
@@ -102,31 +111,25 @@ def grade_diagram(
 def box(graded: GradedRootSystem) -> tuple[frozenset[Root], ...]:
     """Top-grade positive roots of each component; empty slot for point factors."""
     rs = graded.rs
-    out: list[set[Root]] = [set() for _ in rs.dtype.components]
-    for ci, m in enumerate(graded.max_grades):
-        if m == 0:
-            continue
-        for r in rs.positive_roots:
-            if rs.root_component(r) == ci and graded.grades[r] == m:
-                out[ci].add(r)
-    return tuple(frozenset(s) for s in out)
+    idx = graded.box_idx
+    parts: list[list[Root]] = [[] for _ in rs.dtype.components]
+    for i, ci in zip(idx.tolist(), rs.component_of_root[idx].tolist()):
+        parts[ci].append(rs.roots[i])
+    return tuple(frozenset(p) for p in parts)
 
 
 def box_union(graded: GradedRootSystem) -> frozenset[Root]:
-    u: set[Root] = set()
-    for part in box(graded):
-        u |= part
-    return frozenset(u)
+    roots = graded.rs.roots
+    return frozenset(roots[i] for i in graded.box_idx.tolist())
 
 
 def minimal_roots(graded: GradedRootSystem) -> frozenset[Root]:
     """Negatives of the box: the lowest-grade roots of each component."""
-    return frozenset(negate(r) for r in box_union(graded))
+    roots = graded.rs.roots
+    last = len(roots) - 1
+    return frozenset(roots[last - i] for i in graded.box_idx.tolist())
 
 
 def p_grade(graded: GradedRootSystem, root: Root) -> int:
     """Grade of a root: its coefficient sum over the crossed nodes."""
-    try:
-        return graded.grades[tuple(root)]
-    except (KeyError, TypeError):
-        raise NotARootError(f"{root!r} is not a root of {graded.rs.dtype}") from None
+    return int(graded.grade_of_root[_root_index(graded.rs, root)])

@@ -1,16 +1,21 @@
 """Finite reduced root systems of types A-G and their products.
 
-A root is a tuple of integer coefficients over the simple roots, using
-Bourbaki node numbering inside each component.  Construction closes the
-simple roots under simple reflections; after that, pairings and reflections
-between arbitrary roots are table lookups.  All arithmetic is exact.
+At the API edge a root is a tuple of integer coefficients over the simple
+roots, using Bourbaki node numbering inside each component.  Inside the
+package a root is its integer index into `RootSystem.roots`, and each root
+carries an exact int64 key, a linear form in its coefficients that is checked
+to be injective on the roots.  Construction closes the simple roots under
+simple reflections; the pairing and reflection tables are then filled with
+integer matrix products and key lookups, so pairings and reflections between
+arbitrary roots are table reads.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -178,27 +183,31 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _close_simples(cartan: tuple[tuple[int, ...], ...]) -> set[Root]:
-    """All roots of the component: close the simples under simple reflections."""
-    rank = len(cartan)
-    simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    found: set[Root] = set(simples)
-    frontier: list[Root] = simples
-    while frontier:
-        fresh: list[Root] = []
-        for beta in frontier:
-            for i in range(rank):
-                k = sum(cartan[i][j] * beta[j] for j in range(rank) if beta[j])
-                if k == 0:
-                    continue
-                img = list(beta)
-                img[i] -= k
-                timg = tuple(img)
-                if timg not in found:
-                    found.add(timg)
-                    fresh.append(timg)
-        frontier = fresh
-    return found
+def _close_simples(cartan: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """All roots of the component, one coefficient row each, in the order found.
+
+    Closes the simple roots under the simple reflections, one frontier of
+    new roots at a time; rows are told apart by their bytes.
+    """
+    C = np.array(cartan, dtype=np.int64)
+    rank = len(C)
+    frontier = np.eye(rank, dtype=np.int64)
+    found = [frontier]
+    seen = {row.tobytes() for row in frontier}
+    while len(frontier):
+        K = frontier @ C.T  # K[r, i] = <root r, alpha_i-check>
+        r, i = np.nonzero(K)
+        images = frontier[r]
+        images[np.arange(len(r)), i] -= K[r, i]
+        fresh = []
+        for row in images:
+            b = row.tobytes()
+            if b not in seen:
+                seen.add(b)
+                fresh.append(row)
+        frontier = np.array(fresh, dtype=np.int64).reshape(-1, rank)
+        found.append(frontier)
+    return np.concatenate(found)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +226,19 @@ def height(root: Root) -> int:
     return sum(root)
 
 
-def negate(root: Root) -> Root:
-    return tuple(-c for c in root)
+def _injective_key(M: np.ndarray, bound: int) -> np.ndarray:
+    """Weights of a linear form that takes distinct values on the rows of M.
+
+    The weights are pseudo-random below `bound` from a fixed seed.  The check,
+    not the choice, makes the key exact; a collision moves on to the next seed.
+    """
+    for seed in range(16):
+        rng = random.Random(seed)
+        weights = np.array([rng.randrange(1, bound) for _ in M[0]], dtype=np.int64)
+        keys = np.sort(M @ weights)
+        if (keys[1:] != keys[:-1]).all():
+            return weights
+    raise InvalidDiagramError("no injective root key found")
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +248,19 @@ def negate(root: Root) -> Root:
 class RootSystem:
     """A built root system.  Treat as immutable; all operations are pure.
 
-    Roots are stored in one canonical total order (lexicographic on the
-    coefficient vectors), so repeated builds are byte-for-byte identical.
+    Inside the package a root is an index into `roots`, the coefficient
+    tuples in lexicographic order: repeated builds are byte-for-byte
+    identical, the negative roots come first, and root m-1-i is the negative
+    of root i.  Per root index the system holds the coefficient matrix `M`,
+    `component_of_root`, `sign` (+1 or -1) and `keys`, an int64 linear form
+    in the coefficients that is checked to be injective on the roots.  Being
+    linear, the key of a sum or difference of roots is the sum or difference
+    of their keys; `find` and `combine` search the sorted keys and confirm
+    every hit on the coefficients.  `_pair[b, a]` = <root_b, root_a-check>
+    and `_refl[a, b]` is the index of the reflection of root b in root a.
+
+    Coefficient tuples are the API edge: `roots`, `positive_roots`,
+    `highest_roots`, `simple_roots` and the lazily built `index` dict.
     """
 
     def __init__(
@@ -237,50 +268,100 @@ class RootSystem:
         dtype: DiagramType,
         cartan: tuple[tuple[int, ...], ...],
         symmetrizer: tuple[int, ...],
-        roots: tuple[Root, ...],
-        positive_roots: tuple[Root, ...],
+        M: np.ndarray,
         highest_roots: tuple[Root, ...],
         component_of_node: tuple[int, ...],
     ) -> None:
+        """M: the coefficient rows of all roots, in lexicographic order."""
         self.dtype = dtype
         self.cartan = cartan
         self.symmetrizer = symmetrizer
-        self.roots = roots
-        self.positive_roots = positive_roots
+        self.roots = roots = tuple(map(tuple, M.tolist()))
         self.highest_roots = highest_roots
         self.component_of_node = component_of_node
         n = dtype.total_rank
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
-        self.index = {r: i for i, r in enumerate(roots)}
-        self.positive_set = frozenset(positive_roots)
 
-        M = np.array(roots, dtype=np.int64)
-        B = np.diag(np.array(symmetrizer, dtype=np.int64)) @ np.array(
+        m = len(roots)
+        if not (M[::-1] == -M).all():
+            raise InvalidDiagramError("root set is not closed under negation")
+        lead = (M != 0).argmax(1)  # first nonzero coefficient of each root
+        self.M = M
+        self.component_of_root = np.array(component_of_node, dtype=np.intp)[lead]
+        self.sign = np.sign(M[np.arange(m), lead]).astype(np.int8)
+        self.positive_roots = roots[m // 2 :]  # the negatives sort first
+
+        # |coefficient sum| <= the largest height, and a reflection row adds at
+        # most four keys' worth, so keys and their combinations fit in int64
+        top = max(height(r) for r in highest_roots)
+        self._weights = _injective_key(M, 2**62 // (4 * top))
+        self.keys = M @ self._weights
+        order = np.argsort(self.keys, kind="stable")
+        # a sentinel key above every real one keeps each search in bounds
+        self._sorted_keys = np.append(self.keys[order], np.iinfo(np.int64).max)
+        self._key_order = np.append(order, -1)
+
+        B = np.array(symmetrizer, dtype=np.int64)[:, None] * np.array(
             cartan, dtype=np.int64
         )
         G = M @ B @ M.T
-        diag = np.diag(G)
-        num = 2 * G
-        if (num % diag[None, :]).any():
+        diag = G.diagonal().copy()
+        G *= 2
+        if (G % diag).any():
             raise InvalidDiagramError("pairing table is not integral")
-        # pair[b, a] = <root_b, root_a-check>
-        self._pair = (num // diag[None, :]).astype(np.int64)
-        m = len(roots)
+        G //= diag
+        # pair[b, a] = <root_b, root_a-check>, always within -3..3
+        self._pair = G.astype(np.int8)
+        del G  # m x m int64; free it before the reflection table
         refl = np.empty((m, m), dtype=np.int32)
-        index = self.index
         for a in range(m):
-            rows = M - np.outer(self._pair[:, a], M[a])
-            refl[a] = [index[tuple(int(x) for x in row)] for row in rows]
+            row = self._locate(self.keys - self._pair[:, a] * self.keys[a])
+            if (row < 0).any():
+                raise InvalidDiagramError("a reflection left the root set")
+            refl[a] = row
         self._refl = refl
+        # the system is cached and shared: freeze its tables
+        for table in (
+            M, self.component_of_root, self.sign, self.keys,
+            self._sorted_keys, self._key_order, self._pair, refl,
+        ):
+            table.flags.writeable = False
+
+    def _locate(self, keys: np.ndarray) -> np.ndarray:
+        """Index of the root carrying each key, -1 where no root does."""
+        pos = self._sorted_keys.searchsorted(keys)
+        return np.where(self._sorted_keys[pos] == keys, self._key_order[pos], -1)
+
+    def find(self, vectors: np.ndarray) -> np.ndarray:
+        """Index of each coefficient row in `roots`, -1 where it is not a root."""
+        vectors = np.asarray(vectors, dtype=np.int64)
+        idx = self._locate(vectors @ self._weights)
+        hit = idx >= 0
+        hit[hit] = (self.M[idx[hit]] == vectors[hit]).all(1)
+        return np.where(hit, idx, -1)
+
+    def combine(self, left: np.ndarray, right: np.ndarray, sign: int) -> np.ndarray:
+        """Indices of the roots equal to root a + sign * root b, a in left, b in right.
+
+        Keys find the candidates and coefficients confirm them; a root is
+        listed once per pair that reaches it.
+        """
+        found = self._locate(self.keys[left][:, None] + sign * self.keys[right])
+        i, j = (found >= 0).nonzero()
+        c = found[i, j]
+        M = self.M
+        return c[(M[left[i]] + sign * M[right[j]] == M[c]).all(1)]
+
+    @cached_property
+    def index(self) -> dict[Root, int]:
+        """Coefficient tuple -> root index; a view for callers holding tuples."""
+        return {r: i for i, r in enumerate(self.roots)}
 
     def root_component(self, root: Root) -> int:
         """Index of the component a root lives in."""
-        for i, c in enumerate(root):
-            if c:
-                return self.component_of_node[i]
-        raise NotARootError("zero vector is not a root")
+        return int(self.component_of_root[_root_index(self, root)])
 
     def __repr__(self) -> str:
         return f"RootSystem({self.dtype}, {len(self.roots)} roots)"
@@ -291,7 +372,7 @@ def _build(dtype: DiagramType) -> RootSystem:
     total = dtype.total_rank
     cartan_rows = [[0] * total for _ in range(total)]
     symmetrizer: list[int] = []
-    all_roots: list[Root] = []
+    blocks: list[np.ndarray] = []
     highest: list[Root] = []
     comp_of: list[int] = []
 
@@ -304,32 +385,23 @@ def _build(dtype: DiagramType) -> RootSystem:
         comp_of.extend([ci] * comp.rank)
 
         local = _close_simples(C)
-        local_pos = {r for r in local if is_positive(r)}
-        tops = [
-            r
-            for r in local_pos
-            if all(
-                tuple(a + int(i == j) for j, a in enumerate(r)) not in local
-                for i in range(comp.rank)
-            )
-        ]
-        if len(tops) != 1:
+        block = np.zeros((len(local), total), dtype=np.int64)
+        block[:, start:stop] = local
+        blocks.append(block)
+        # the highest root of an irreducible system is its unique root of
+        # greatest height
+        heights = local.sum(1)
+        if (heights == heights.max()).sum() != 1:
             raise InvalidDiagramError(f"component {comp} has no unique highest root")
+        highest.append(tuple(block[heights.argmax()].tolist()))
 
-        def embed(r: Root) -> Root:
-            return (0,) * start + r + (0,) * (total - stop)
-
-        all_roots.extend(embed(r) for r in local)
-        highest.append(embed(tops[0]))
-
-    roots = tuple(sorted(all_roots))
-    positive = tuple(r for r in roots if is_positive(r))
+    M = np.concatenate(blocks)
+    M = M[np.lexsort(M.T[::-1])]
     return RootSystem(
         dtype,
         tuple(tuple(row) for row in cartan_rows),
         tuple(symmetrizer),
-        roots,
-        positive,
+        M,
         tuple(highest),
         tuple(comp_of),
     )
@@ -341,10 +413,16 @@ def build_root_system(dtype: DiagramType) -> RootSystem:
 
 
 def _root_index(rs: RootSystem, root: Root) -> int:
+    """Index of a coefficient tuple; NotARootError for anything else."""
     try:
-        return rs.index[tuple(root)]
-    except (KeyError, TypeError):
-        raise NotARootError(f"{root!r} is not a root of {rs.dtype}") from None
+        v = np.asarray(root)
+    except (TypeError, ValueError):
+        v = None
+    if v is not None and v.shape == (rs.dtype.total_rank,) and v.dtype.kind in "biu":
+        i = int(rs.find(v[None])[0])
+        if i >= 0:
+            return i
+    raise NotARootError(f"{root!r} is not a root of {rs.dtype}")
 
 
 def pairing(rs: RootSystem, beta: Root, alpha: Root) -> int:

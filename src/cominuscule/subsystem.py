@@ -9,26 +9,29 @@ rest of the package is about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .classify import recognize_labelings
 from .errors import ClassificationError
-from .grading import Decoration, GradedRootSystem, box_union
-from .rootsys import Component, DiagramType, Root, RootSystem, is_positive
+from .grading import Decoration, GradedRootSystem
+from .rootsys import Component, DiagramType, Root, RootSystem, _root_index
 
 
 @dataclass(frozen=True)
 class Subsystem:
     """A reflection-closed set of ambient roots with its induced simple system.
 
+    `members` is a boolean mask over the ambient root indices; `roots` is the
+    same set as coefficient tuples, built on first use.
     check_grades rescales each member's grade by its component's top grade,
     so values are always -1, 0 or +1.
     """
 
     graded: GradedRootSystem
-    roots: frozenset[Root]
+    members: np.ndarray = field(compare=False, repr=False)
     simples: tuple[Root, ...]
     cartan: tuple[tuple[int, ...], ...]
     check_grades: dict[Root, int]
@@ -36,6 +39,11 @@ class Subsystem:
     @property
     def ambient(self) -> RootSystem:
         return self.graded.rs
+
+    @cached_property
+    def roots(self) -> frozenset[Root]:
+        roots = self.graded.rs.roots
+        return frozenset(roots[i] for i in self.members.nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -55,70 +63,65 @@ class DecoratedDiagram:
         return f"{self.dtype}:{self.decoration}"
 
 
-def _check_grade(graded: GradedRootSystem, root: Root) -> int:
-    g = graded.grades[root]
-    if g == 0:
-        return 0
-    m = graded.max_grades[graded.rs.root_component(root)]
-    if g != m and g != -m:
-        raise ClassificationError(
-            f"root {root} has grade {g}, outside {{-{m}, 0, {m}}}"
-        )
-    return 1 if g > 0 else -1
-
-
-def _make_subsystem(graded: GradedRootSystem, roots: frozenset[Root]) -> Subsystem:
+def _make_subsystem(graded: GradedRootSystem, members) -> Subsystem:
+    """The subsystem on a member mask (or on a set of coefficient tuples)."""
     rs = graded.rs
-    positives = sorted(
-        (r for r in roots if is_positive(r)),
-        key=lambda r: (rs.root_component(r), r),
-    )
-    pos_set = set(positives)
-    sums = set()
-    for i, a in enumerate(positives):
-        for b in positives[i:]:
-            sums.add(tuple(x + y for x, y in zip(a, b)))
-    simples = tuple(p for p in positives if p not in sums)
-    idx = [rs.index[s] for s in simples]
-    cartan = tuple(
-        tuple(int(rs._pair[b, a]) for b in idx) for a in idx
-    )
-    check_grades = {r: _check_grade(graded, r) for r in roots}
-    return Subsystem(graded, roots, simples, cartan, check_grades)
+    if not isinstance(members, np.ndarray):
+        mask = np.zeros(len(rs.roots), dtype=bool)
+        mask[[_root_index(rs, r) for r in members]] = True
+        members = mask
+    members.flags.writeable = False
+    idx = members.nonzero()[0]
+
+    g = graded.grade_of_root[idx]
+    top = graded.top_of_root[idx]
+    check = np.sign(g)
+    bad = check * top != g
+    if bad.any():
+        i = int(bad.argmax())
+        raise ClassificationError(
+            f"root {rs.roots[idx[i]]} has grade {g[i]},"
+            f" outside {{-{top[i]}, 0, {top[i]}}}"
+        )
+    check_grades = dict(zip(map(rs.roots.__getitem__, idx.tolist()), check.tolist()))
+
+    # positives ordered by (component, root); the simple ones are those no
+    # sum of two positive members lands on
+    pos = idx[rs.sign[idx] > 0]
+    pos = pos[np.argsort(rs.component_of_root[pos], kind="stable")]
+    hit = np.zeros(len(rs.roots), dtype=bool)
+    hit[rs.combine(pos, pos, 1)] = True
+    simple_idx = pos[~hit[pos]]
+    simples = tuple(rs.roots[i] for i in simple_idx.tolist())
+    cartan = tuple(map(tuple, rs._pair[simple_idx, simple_idx[:, None]].tolist()))
+    return Subsystem(graded, members, simples, cartan, check_grades)
 
 
 def generate_subsystem(graded: GradedRootSystem) -> Subsystem:
     """Reflection closure of the top-grade roots and their negatives."""
     rs = graded.rs
-    index = rs.index
-    members = {index[r] for r in box_union(graded)}
-    members |= {index[tuple(-c for c in rs.roots[i])] for i in members}
+    members = graded.box_mask | graded.box_mask[::-1]
     while True:
-        arr = np.fromiter(members, dtype=np.int64, count=len(members))
-        closure = set(map(int, rs._refl[np.ix_(arr, arr)].flat))
-        if closure <= members:
+        idx = members.nonzero()[0]
+        closure = np.zeros_like(members)
+        closure[rs._refl[idx[:, None], idx].ravel()] = True
+        if not (closure & ~members).any():
             break
         members |= closure
-    return _make_subsystem(graded, frozenset(rs.roots[i] for i in members))
+    return _make_subsystem(graded, members)
 
 
 def direct_subsystem(graded: GradedRootSystem) -> Subsystem:
     """Top-grade roots, their negatives, and their pairwise differences.
 
     Independent of generate_subsystem by construction; the two must agree.
+    The two share the root index and keys, not the reflection table or the
+    closure.
     """
-    rs = graded.rs
-    box = sorted(box_union(graded))
-    out = set(box)
-    out |= {tuple(-c for c in r) for r in box}
-    for a in box:
-        for b in box:
-            if a is b:
-                continue
-            d = tuple(x - y for x, y in zip(a, b))
-            if d in rs.index:
-                out.add(d)
-    return _make_subsystem(graded, frozenset(out))
+    box = graded.box_idx
+    members = graded.box_mask | graded.box_mask[::-1]
+    members[graded.rs.combine(box, box, -1)] = True
+    return _make_subsystem(graded, members)
 
 
 def simple_system(sub: Subsystem) -> tuple[Root, ...]:
@@ -156,20 +159,16 @@ def decorated_diagram(sub: Subsystem) -> DecoratedDiagram:
     )
 
 
+def perpendicular_mask(sub: Subsystem) -> np.ndarray:
+    """Mask of the ambient grade-0 roots pairing to zero with every member."""
+    graded = sub.graded
+    return (graded.grade_of_root == 0) & ~graded.rs._pair[:, sub.members].any(1)
+
+
 def perpendicular_compacts(sub: Subsystem) -> frozenset[Root]:
     """Ambient grade-0 roots pairing to zero with every subsystem member."""
-    rs = sub.graded.rs
-    if not sub.roots:
-        return frozenset(r for r in rs.roots if sub.graded.grades[r] == 0)
-    sub_idx = np.fromiter(
-        (rs.index[r] for r in sub.roots), dtype=np.int64, count=len(sub.roots)
-    )
-    out = []
-    for r in rs.roots:
-        if sub.graded.grades[r] == 0:
-            if not rs._pair[rs.index[r], sub_idx].any():
-                out.append(r)
-    return frozenset(out)
+    roots = sub.graded.rs.roots
+    return frozenset(roots[i] for i in perpendicular_mask(sub).nonzero()[0].tolist())
 
 
 def associated_diagram(graded: GradedRootSystem) -> DecoratedDiagram:

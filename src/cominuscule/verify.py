@@ -13,6 +13,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .classify import CominusculeId, classify_cominuscule, cominuscule_id
 from .errors import CominusculeError
@@ -23,7 +27,7 @@ from .subsystem import (
     decorated_diagram,
     direct_subsystem,
     generate_subsystem,
-    perpendicular_compacts,
+    perpendicular_mask,
 )
 
 
@@ -253,16 +257,37 @@ class SweepReport:
         )
 
 
-def _root_list(roots: frozenset[Root]) -> str:
+def _root_list(roots: Iterable[Root]) -> str:
     return "[" + ", ".join(str(r) for r in sorted(roots)) + "]"
 
 
 def _check_input(
     dtype: DiagramType, decoration: Decoration, problems: list[Mismatch]
 ) -> None:
+    """Run every check on one input, appending what fails to `problems`.
+
+    A stage failing with a CominusculeError is a mismatch of that stage's
+    kind.  Any other exception escaping the checks is recorded as a `crash`
+    mismatch; it ends this input's checks, not the sweep.
+    """
+
     def fail(kind: str, detail: str) -> None:
         problems.append(Mismatch(str(dtype), str(decoration), kind, detail))
 
+    try:
+        _run_checks(dtype, decoration, fail)
+    except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{code.co_name}, {Path(code.co_filename).name}:{tb.tb_lineno}"
+        fail("crash", f"{type(exc).__name__}: {exc} (in {where})")
+
+
+def _run_checks(
+    dtype: DiagramType, decoration: Decoration, fail: Callable[[str, str], None]
+) -> None:
     try:
         graded = grade_diagram(dtype, decoration)
     except CominusculeError as exc:
@@ -276,7 +301,7 @@ def _check_input(
         fail("subsystem", str(exc))
         return
 
-    if gen.roots != direct.roots:
+    if not np.array_equal(gen.members, direct.members):
         fail(
             "oracle",
             "generated "
@@ -308,11 +333,12 @@ def _check_input(
 
     # compact dichotomy: grade-0 roots split into members of the subsystem
     # and roots perpendicular to all of it
-    compacts = {r for r in graded.rs.roots if graded.grades[r] == 0}
-    perp = perpendicular_compacts(gen)
-    in_sub = {r for r in compacts if r in gen.roots}
-    if perp | in_sub != compacts or perp & in_sub:
-        fail("compact-dichotomy", _root_list(compacts - perp - in_sub))
+    compact = graded.grade_of_root == 0
+    perp = perpendicular_mask(gen)
+    in_sub = compact & gen.members
+    if not np.array_equal(perp | in_sub, compact) or (perp & in_sub).any():
+        stray = (compact & ~perp & ~in_sub).nonzero()[0]
+        fail("compact-dichotomy", _root_list(graded.rs.roots[i] for i in stray))
 
     boxes = box(graded)
     high = highest_component(flag_hasse(graded), graded)
@@ -324,7 +350,7 @@ def _check_input(
             )
 
     total_dim = sum(c.dimension for c in ids)
-    box_size = sum(len(b) for b in boxes)
+    box_size = len(graded.box_idx)
     if total_dim != box_size:
         fail("dimension", f"classified dim {total_dim} != |box| {box_size}")
 

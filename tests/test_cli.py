@@ -219,3 +219,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "projective space P^2" in proc.stdout
+
+
+def test_compute_leaves_numpy_ma_unimported():
+    # np.unique and np.isin import numpy.ma on first use, which costs every
+    # CLI process about 1.7 MB of peak memory; the pipeline avoids both
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['cominuscule', 'compute', 'B12:oxoooooooooo', '--json']\n"
+        "try:\n"
+        "    runpy.run_module('cominuscule.cli', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["box_size"] == 1
+    assert proc.stderr.strip() == "False"

@@ -1,5 +1,6 @@
 """Root system construction against closed forms and the Euclidean oracle."""
 
+import numpy as np
 import pytest
 
 from cominuscule import (
@@ -165,3 +166,63 @@ def test_cartan_matrices_match_multiplicities():
     assert g[0][1] == -3 and g[1][0] == -1
     e7 = component_cartan("E", 7)
     assert e7[1][3] == e7[3][1] == -1 and e7[1][2] == 0
+
+
+# ------------------------------------------------------- keyed root index
+
+
+@pytest.mark.parametrize(
+    "family,rank", ALL_IRREDUCIBLE + [("A", 20), ("B", 12), ("D", 12)]
+)
+def test_keyed_reflection_table_is_exact(family, rank):
+    # every entry against beta - <beta, alpha-check> alpha in tuple arithmetic
+    rs = build_root_system(diagram_type((family, rank)))
+    roots = rs.roots
+    pair = rs._pair.tolist()
+    refl = rs._refl.tolist()
+    for a, alpha in enumerate(roots):
+        for b, beta in enumerate(roots):
+            k = pair[b][a]
+            assert roots[refl[a][b]] == tuple(x - k * y for x, y in zip(beta, alpha))
+
+
+@pytest.mark.parametrize(
+    "pairs,i,j",
+    [
+        ([("A", 3)], 0, 2),
+        ([("D", 5)], 3, 4),
+        ([("E", 8)], 0, 1),
+        ([("A", 1), ("B", 2)], 0, 2),
+    ],
+)
+def test_key_lookup_rejects_non_roots(pairs, i, j):
+    rs = build_root_system(diagram_type(*pairs))
+    assert pairing(rs, rs.simple_roots[i], rs.simple_roots[j]) == 0
+    n = rs.dtype.total_rank
+    zero = (0,) * n
+    double = tuple(2 * c for c in rs.simple_roots[i])
+    orthogonal_sum = tuple(
+        x + y for x, y in zip(rs.simple_roots[i], rs.simple_roots[j])
+    )
+    assert rs.find([zero, double, orthogonal_sum]).tolist() == [-1, -1, -1]
+    assert rs.find(rs.M).tolist() == list(range(len(rs.roots)))
+    for vector in (zero, double, orthogonal_sum):
+        with pytest.raises(NotARootError):
+            pairing(rs, vector, rs.simple_roots[i])
+
+
+def test_a40_keys_stay_exact():
+    # a base-3 mixed-radix key over 40 nodes would overflow int64
+    rs = _build.__wrapped__(diagram_type(("A", 40)))
+    m = len(rs.roots)
+    assert m == 1640
+    assert len(set(rs.keys.tolist())) == m
+    assert rs._refl.shape == (m, m)
+    # each row is a permutation of the roots: reflections are bijections
+    rows = np.sort(rs._refl, axis=1)
+    assert (rows == np.arange(m)).all()
+    # a root reflects in itself to its negative, which sits at index m-1-i
+    assert (rs._refl[np.arange(m), np.arange(m)] == np.arange(m)[::-1]).all()
+    theta = rs.index[rs.highest_roots[0]]
+    assert reflect(rs, rs.simple_roots[0], rs.highest_roots[0]) == (0,) + (1,) * 39
+    assert rs.find(rs.M[[0, theta]]).tolist() == [0, theta]

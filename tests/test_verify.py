@@ -200,3 +200,30 @@ def test_sweep_detects_a_broken_rule(monkeypatch):
     text = report.to_text()
     assert "A2:xo [expected-answer]" in text
     assert "rule broken" in text
+
+
+def test_sweep_records_a_crash_and_carries_on(monkeypatch, capsys):
+    real = verify.direct_subsystem
+
+    def crashing(graded):
+        if graded.rs.dtype.components[0].family == "B":
+            raise IndexError("index 99 is out of bounds")
+        return real(graded)
+
+    monkeypatch.setattr(verify, "direct_subsystem", crashing)
+    report = sweep(3)
+    assert report.total == 31
+    crashed = {(m.dtype, m.decoration) for m in report.mismatches}
+    assert {d for d, _ in crashed} == {"B2", "B3"}
+    assert len(crashed) == report.failed == 3 + 7
+    assert {m.kind for m in report.mismatches} == {"crash"}
+    assert all(
+        m.detail.startswith("IndexError: index 99 is out of bounds (in crashing,")
+        for m in report.mismatches
+    )
+    assert "B3:oxo [crash] IndexError" in report.to_text()
+
+    from cominuscule.cli import main
+
+    assert main(["sweep", "--max-rank", "3"]) == 1
+    assert "[crash]" in capsys.readouterr().out
