@@ -9,18 +9,13 @@ root recovers that component's box.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .grading import GradedRootSystem
-from .rootsys import (
-    DiagramType,
-    Root,
-    RootSystem,
-    build_root_system,
-    height,
-)
+from .rootsys import DiagramType, Root, RootSystem, build_root_system
 
 
 @dataclass(frozen=True)
@@ -37,18 +32,26 @@ class HasseDiagram:
 @lru_cache(maxsize=None)
 def _full_hasse(dtype: DiagramType) -> HasseDiagram:
     rs = build_root_system(dtype)
-    nodes = tuple(
-        (r, height(r)) for r in sorted(rs.positive_roots, key=lambda r: (height(r), r))
-    )
-    index = {r: i for i, (r, _) in enumerate(nodes)}
-    rank = dtype.total_rank
-    edges = []
-    for a, (root, _) in enumerate(nodes):
-        for i in range(rank):
-            succ = tuple(c + int(j == i) for j, c in enumerate(root))
-            b = index.get(succ)
-            if b is not None:
-                edges.append((a, b, i + 1))
+    m = len(rs.roots)
+    # the positive roots sort last; a stable sort by height keeps ties in
+    # root order
+    pos = np.arange(m // 2, m)
+    heights = rs.M[pos].sum(1)
+    order = np.argsort(heights, kind="stable")
+    pos, heights = pos[order], heights[order]
+    node_of = np.empty(m, dtype=np.intp)
+    node_of[pos] = np.arange(len(pos))
+    # succ[a, i]: root index of node a plus simple root i, -1 if not a root
+    P = rs.M[pos]
+    succ = np.empty((len(pos), dtype.total_rank), dtype=np.intp)
+    for i in range(dtype.total_rank):
+        P[:, i] += 1
+        succ[:, i] = rs.find(P)
+        P[:, i] -= 1
+    a, i = (succ >= 0).nonzero()  # row-major: edges ordered by (from, label)
+    roots = rs.roots
+    nodes = tuple(zip(map(roots.__getitem__, pos.tolist()), heights.tolist()))
+    edges = zip(a.tolist(), node_of[succ[a, i]].tolist(), (i + 1).tolist())
     return HasseDiagram(nodes, tuple(edges))
 
 
@@ -60,32 +63,31 @@ def hasse(rs: RootSystem) -> HasseDiagram:
 def flag_hasse(graded: GradedRootSystem) -> HasseDiagram:
     """Full diagram minus every edge labeled by a crossed node."""
     full = hasse(graded.rs)
-    crossed = {i + 1 for i in graded.decoration.crossed_nodes()}
-    return HasseDiagram(
-        full.nodes, tuple(e for e in full.edges if e[2] not in crossed)
-    )
+    keep = (False,) + tuple(not c for c in graded.decoration.crossed)  # by label
+    return HasseDiagram(full.nodes, tuple(e for e in full.edges if keep[e[2]]))
 
 
 def highest_component(
     h: HasseDiagram, graded: GradedRootSystem
 ) -> tuple[frozenset[Root], ...]:
     """Per ambient component, the piece of h holding its highest root."""
-    adj: dict[int, list[int]] = {i: [] for i in range(len(h.nodes))}
+    nodes = h.nodes
+    adj: list[list[int]] = [[] for _ in nodes]
     for a, b, _ in h.edges:
         adj[a].append(b)
         adj[b].append(a)
-    index = {r: i for i, (r, _) in enumerate(h.nodes)}
     out = []
     for top in graded.rs.highest_roots:
-        seen = {index[top]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
+        # nodes sort by height, so a highest root sits near the end
+        start = next(i for i in range(len(nodes) - 1, -1, -1) if nodes[i][0] == top)
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
-        out.append(frozenset(h.nodes[i][0] for i in seen))
+                    stack.append(w)
+        out.append(frozenset(nodes[i][0] for i in seen))
     return tuple(out)
 
 

@@ -24,6 +24,12 @@ from .errors import InvalidDiagramError, NotARootError
 
 Root = tuple[int, ...]
 
+# The largest root count a build accepts.  The pairing and reflection tables
+# are dense m x m, so this bounds a build's time and memory: at the cap the
+# int64 pairing temporary takes 32 MB and the int32 reflection table 16 MB.
+# A40 has 1640 roots.
+MAX_ROOTS = 2000
+
 # Inclusive rank bounds for canonical (already normalized) components.
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -152,6 +158,23 @@ def component_cartan(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     else:
         raise InvalidDiagramError(f"unknown family {family!r}")
     return tuple(tuple(row) for row in C)
+
+
+_EXCEPTIONAL_ROOTS = {
+    ("E", 6): 72, ("E", 7): 126, ("E", 8): 240, ("F", 4): 48, ("G", 2): 12,
+}
+
+
+def _root_count(comp: Component) -> int:
+    """Number of roots of an irreducible component, in closed form."""
+    r = comp.rank
+    if comp.family == "A":
+        return r * (r + 1)
+    if comp.family in ("B", "C"):
+        return 2 * r * r
+    if comp.family == "D":
+        return 2 * r * (r - 1)
+    return _EXCEPTIONAL_ROOTS[comp.family, comp.rank]
 
 
 def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -369,6 +392,11 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def _build(dtype: DiagramType) -> RootSystem:
+    counts = [_root_count(c) for c in dtype.components]
+    if sum(counts) > MAX_ROOTS:
+        raise InvalidDiagramError(
+            f"{dtype} has {sum(counts)} roots, over the limit of {MAX_ROOTS}"
+        )
     total = dtype.total_rank
     cartan_rows = [[0] * total for _ in range(total)]
     symmetrizer: list[int] = []
@@ -376,7 +404,9 @@ def _build(dtype: DiagramType) -> RootSystem:
     highest: list[Root] = []
     comp_of: list[int] = []
 
-    for ci, ((start, stop), comp) in enumerate(zip(dtype.ranges(), dtype.components)):
+    for ci, ((start, stop), comp, count) in enumerate(
+        zip(dtype.ranges(), dtype.components, counts)
+    ):
         C = component_cartan(comp.family, comp.rank)
         for i in range(comp.rank):
             for j in range(comp.rank):
@@ -385,6 +415,10 @@ def _build(dtype: DiagramType) -> RootSystem:
         comp_of.extend([ci] * comp.rank)
 
         local = _close_simples(C)
+        if len(local) != count:
+            raise InvalidDiagramError(
+                f"component {comp} closed to {len(local)} roots, expected {count}"
+            )
         block = np.zeros((len(local), total), dtype=np.int64)
         block[:, start:stop] = local
         blocks.append(block)

@@ -25,15 +25,15 @@ class Subsystem:
     """A reflection-closed set of ambient roots with its induced simple system.
 
     `members` is a boolean mask over the ambient root indices; `roots` is the
-    same set as coefficient tuples, built on first use.
+    same set as coefficient tuples.  `roots`, `simples` and `cartan` are
+    derived from `members` on first use, so a subsystem whose simple system
+    is never read never pays for it.
     check_grades rescales each member's grade by its component's top grade,
     so values are always -1, 0 or +1.
     """
 
     graded: GradedRootSystem
     members: np.ndarray = field(compare=False, repr=False)
-    simples: tuple[Root, ...]
-    cartan: tuple[tuple[int, ...], ...]
     check_grades: dict[Root, int]
 
     @property
@@ -44,6 +44,30 @@ class Subsystem:
     def roots(self) -> frozenset[Root]:
         roots = self.graded.rs.roots
         return frozenset(roots[i] for i in self.members.nonzero()[0].tolist())
+
+    @cached_property
+    def _simple_idx(self) -> np.ndarray:
+        # positives ordered by (component, root); the simple ones are those no
+        # sum of two positive members lands on
+        rs = self.graded.rs
+        idx = self.members.nonzero()[0]
+        pos = idx[rs.sign[idx] > 0]
+        pos = pos[np.argsort(rs.component_of_root[pos], kind="stable")]
+        hit = np.zeros(len(rs.roots), dtype=bool)
+        hit[rs.combine(pos, pos, 1)] = True
+        return pos[~hit[pos]]
+
+    @cached_property
+    def simples(self) -> tuple[Root, ...]:
+        """Positive members not expressible as a sum of two positive members."""
+        roots = self.graded.rs.roots
+        return tuple(roots[i] for i in self._simple_idx.tolist())
+
+    @cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """Induced Cartan matrix: entry [i][j] is <simple_j, simple_i-check>."""
+        s = self._simple_idx
+        return tuple(map(tuple, self.graded.rs._pair[s, s[:, None]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -84,17 +108,7 @@ def _make_subsystem(graded: GradedRootSystem, members) -> Subsystem:
             f" outside {{-{top[i]}, 0, {top[i]}}}"
         )
     check_grades = dict(zip(map(rs.roots.__getitem__, idx.tolist()), check.tolist()))
-
-    # positives ordered by (component, root); the simple ones are those no
-    # sum of two positive members lands on
-    pos = idx[rs.sign[idx] > 0]
-    pos = pos[np.argsort(rs.component_of_root[pos], kind="stable")]
-    hit = np.zeros(len(rs.roots), dtype=bool)
-    hit[rs.combine(pos, pos, 1)] = True
-    simple_idx = pos[~hit[pos]]
-    simples = tuple(rs.roots[i] for i in simple_idx.tolist())
-    cartan = tuple(map(tuple, rs._pair[simple_idx, simple_idx[:, None]].tolist()))
-    return Subsystem(graded, members, simples, cartan, check_grades)
+    return Subsystem(graded, members, check_grades)
 
 
 def generate_subsystem(graded: GradedRootSystem) -> Subsystem:

@@ -6,6 +6,11 @@ pipeline over every decoration of every type in range, compares it against
 the rules, and checks the structural invariants that tie the modules
 together.  Rules and pipeline share only the final table lookup, so
 agreement is meaningful.
+
+Many inputs share an output diagram, so one sweep keeps the pipeline's image
+of each output diagram it has checked for idempotence and runs the pipeline
+on a given output once.  Only images that came out without an error are
+kept, and the memo lives for one `sweep` call.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .grading import Decoration, box, grade_diagram
 from .hasse import flag_hasse, highest_component
 from .rootsys import DiagramType, Root, diagram_type
 from .subsystem import (
+    DecoratedDiagram,
     decorated_diagram,
     direct_subsystem,
     generate_subsystem,
@@ -261,21 +267,28 @@ def _root_list(roots: Iterable[Root]) -> str:
     return "[" + ", ".join(str(r) for r in sorted(roots)) + "]"
 
 
+Images = dict[tuple[DiagramType, Decoration], DecoratedDiagram]
+
+
 def _check_input(
-    dtype: DiagramType, decoration: Decoration, problems: list[Mismatch]
+    dtype: DiagramType,
+    decoration: Decoration,
+    problems: list[Mismatch],
+    images: Images,
 ) -> None:
     """Run every check on one input, appending what fails to `problems`.
 
     A stage failing with a CominusculeError is a mismatch of that stage's
     kind.  Any other exception escaping the checks is recorded as a `crash`
-    mismatch; it ends this input's checks, not the sweep.
+    mismatch; it ends this input's checks, not the sweep.  `images` maps each
+    output diagram already checked for idempotence to its pipeline image.
     """
 
     def fail(kind: str, detail: str) -> None:
         problems.append(Mismatch(str(dtype), str(decoration), kind, detail))
 
     try:
-        _run_checks(dtype, decoration, fail)
+        _run_checks(dtype, decoration, fail, images)
     except Exception as exc:
         tb = exc.__traceback__
         while tb.tb_next is not None:
@@ -286,7 +299,10 @@ def _check_input(
 
 
 def _run_checks(
-    dtype: DiagramType, decoration: Decoration, fail: Callable[[str, str], None]
+    dtype: DiagramType,
+    decoration: Decoration,
+    fail: Callable[[str, str], None],
+    images: Images,
 ) -> None:
     try:
         graded = grade_diagram(dtype, decoration)
@@ -354,13 +370,17 @@ def _run_checks(
     if total_dim != box_size:
         fail("dimension", f"classified dim {total_dim} != |box| {box_size}")
 
-    try:
-        graded2 = grade_diagram(dd.dtype, dd.decoration)
-        dd2 = decorated_diagram(generate_subsystem(graded2))
-    except CominusculeError as exc:
-        fail("idempotence", str(exc))
-        return
-    if (dd2.dtype, dd2.decoration) != (dd.dtype, dd.decoration):
+    key = (dd.dtype, dd.decoration)
+    dd2 = images.get(key)
+    if dd2 is None:
+        try:
+            graded2 = grade_diagram(dd.dtype, dd.decoration)
+            dd2 = decorated_diagram(generate_subsystem(graded2))
+        except CominusculeError as exc:
+            fail("idempotence", str(exc))
+            return
+        images[key] = dd2
+    if (dd2.dtype, dd2.decoration) != key:
         fail("idempotence", f"{dd} maps to {dd2}")
 
 
@@ -388,6 +408,7 @@ def sweep(max_rank: int = 8) -> SweepReport:
     start = time.monotonic()
     total = passed = 0
     problems: list[Mismatch] = []
+    images: Images = {}
     for dtype in sweep_inputs(max_rank):
         rank = dtype.total_rank
         for bits in range(1, 1 << rank):
@@ -396,7 +417,7 @@ def sweep(max_rank: int = 8) -> SweepReport:
             )
             total += 1
             before = len(problems)
-            _check_input(dtype, decoration, problems)
+            _check_input(dtype, decoration, problems, images)
             if len(problems) == before:
                 passed += 1
     return SweepReport(

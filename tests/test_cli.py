@@ -151,6 +151,19 @@ def test_bad_spec_exits_2(capsys):
     assert err.startswith("error:")
 
 
+def test_oversized_spec_exits_2_before_building(monkeypatch, capsys):
+    import cominuscule.rootsys as rootsys
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("RootSystem.__init__ entered for an oversized spec")
+
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", refuse)
+    assert main(["compute", "A100:" + "x" + "o" * 99]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A100 has 10100 roots")
+    assert str(rootsys.MAX_ROOTS) in err
+
+
 def test_hasse_default_is_full_text(capsys):
     assert main(["hasse", "G2:xo"]) == 0
     out = capsys.readouterr().out

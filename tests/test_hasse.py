@@ -50,6 +50,32 @@ def test_a_family_edge_count(rank):
     assert len(h.edges) == rank * rank - rank
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [[("A", r)] for r in range(1, 9)]
+    + [[("B", r)] for r in range(2, 9)]
+    + [[("C", r)] for r in range(3, 9)]
+    + [[("D", r)] for r in range(4, 9)]
+    + [[("E", 6)], [("E", 7)], [("E", 8)], [("F", 4)], [("G", 2)]]
+    + [[("A", 2), ("B", 3)], [("G", 2), ("A", 1), ("D", 4)]],
+)
+def test_keyed_edges_match_tuple_successors(pairs):
+    # reference: sort the positive roots by (height, root), then for each
+    # node in order and each label look the tuple root + e_i up in a dict
+    rs = rs_for(*pairs)
+    roots = sorted(rs.positive_roots, key=lambda r: (sum(r), r))
+    index = {r: i for i, r in enumerate(roots)}
+    edges = []
+    for a, root in enumerate(roots):
+        for i in range(len(root)):
+            b = index.get(root[:i] + (root[i] + 1,) + root[i + 1 :])
+            if b is not None:
+                edges.append((a, b, i + 1))
+    h = hasse(rs)
+    assert h.nodes == tuple((r, sum(r)) for r in roots)
+    assert h.edges == tuple(edges)
+
+
 def test_nodes_sorted_by_height_then_root():
     h = hasse(rs_for(("B", 3)))
     assert list(h.nodes) == sorted(h.nodes, key=lambda n: (n[1], n[0]))

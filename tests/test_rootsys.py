@@ -14,7 +14,7 @@ from cominuscule import (
     pairing,
     reflect,
 )
-from cominuscule.rootsys import _build, component_cartan, height
+from cominuscule.rootsys import MAX_ROOTS, _build, component_cartan, height
 
 from conftest import coefficient_set
 
@@ -226,3 +226,11 @@ def test_a40_keys_stay_exact():
     theta = rs.index[rs.highest_roots[0]]
     assert reflect(rs, rs.simple_roots[0], rs.highest_roots[0]) == (0,) + (1,) * 39
     assert rs.find(rs.M[[0, theta]]).tolist() == [0, theta]
+
+
+def test_root_count_cap_is_checked_before_building():
+    # A40 (1640 roots) fits; a product of two does not, and neither does A100
+    assert 2 * positive_count("A", 40) <= MAX_ROOTS
+    for pairs, count in ([[("A", 40), ("A", 40)], 3280], [[("A", 100)], 10100]):
+        with pytest.raises(InvalidDiagramError, match=f"{count} roots.*{MAX_ROOTS}"):
+            _build.__wrapped__(diagram_type(*pairs))

@@ -248,6 +248,24 @@ def test_routes_agree_on_exceptional_types():
             _assert_routes_agree(graded)
 
 
+def test_direct_route_simples_after_replace():
+    # simples and cartan are derived from the member mask on first use, so a
+    # copy made before either was read derives them itself
+    for pairs, dec in [
+        ([("F", 4)], "ooox"),
+        ([("E", 7)], "oxoooox"),
+        ([("B", 3), ("A", 2)], "oxoxo"),
+    ]:
+        graded = run(pairs, dec)
+        ref = generate_subsystem(graded)
+        sub = direct_subsystem(graded)
+        copy = dataclasses.replace(sub, check_grades=dict(sub.check_grades))
+        assert not {"simples", "cartan"} & vars(copy).keys()
+        assert copy.simples == ref.simples
+        assert copy.cartan == ref.cartan
+        assert decorated_diagram(copy) == decorated_diagram(ref)
+
+
 # ----------------------------------------------------------- point factors
 
 

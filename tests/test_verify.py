@@ -7,6 +7,7 @@ import pytest
 import cominuscule.verify as verify
 from cominuscule import (
     Decoration,
+    DecorationError,
     associated_diagram,
     classify_cominuscule,
     cominuscule_id,
@@ -227,3 +228,69 @@ def test_sweep_records_a_crash_and_carries_on(monkeypatch, capsys):
 
     assert main(["sweep", "--max-rank", "3"]) == 1
     assert "[crash]" in capsys.readouterr().out
+
+
+# ------------------------------------------------ the idempotence memo
+
+
+def _images(max_rank):
+    """(dtype, decoration) of each sweep input -> its associated diagram."""
+    out = {}
+    for dtype in sweep_inputs(max_rank):
+        rank = dtype.total_rank
+        for bits in range(1, 1 << rank):
+            dec = Decoration(tuple(bool(bits >> i & 1) for i in range(rank)))
+            dd = associated_diagram(grade_diagram(dtype, dec))
+            out[str(dtype), str(dec)] = (dd.dtype, dd.decoration)
+    return out
+
+
+def _count_gradings(monkeypatch, fail_after=None):
+    """Wrap the sweep's grade_diagram; return the list of its calls' inputs.
+
+    With fail_after=(dtype, decoration), every call on that input after the
+    first raises a CominusculeError.
+    """
+    real = verify.grade_diagram
+    calls = []
+
+    def counting(dtype, decoration, **kwargs):
+        calls.append((dtype, decoration))
+        if (dtype, decoration) == fail_after and calls.count(fail_after) > 1:
+            raise DecorationError(f"{dtype}:{decoration} graded twice")
+        return real(dtype, decoration, **kwargs)
+
+    monkeypatch.setattr(verify, "grade_diagram", counting)
+    return calls
+
+
+def test_idempotence_memo_hides_no_failure(monkeypatch):
+    images = _images(4)
+    line = (diagram_type(("A", 1)), Decoration.from_string("x"))
+    onto_line = sorted(k for k, image in images.items() if image == line)
+    assert ("A1", "x") in onto_line and len(onto_line) > 1
+
+    # the first grading of A1:x is the sweep's first input; every later one
+    # is an idempotence run and fails
+    calls = _count_gradings(monkeypatch, fail_after=line)
+    report = sweep(4)
+    # a failed image is not kept: each input mapping onto A1:x runs it again
+    assert calls.count(line) == 1 + len(onto_line)
+    assert {m.kind for m in report.mismatches} == {"idempotence"}
+    assert sorted((m.dtype, m.decoration) for m in report.mismatches) == onto_line
+    assert report.failed == len(onto_line)
+
+    # the memo does not outlive a call: a fresh sweep runs every image again
+    monkeypatch.undo()
+    calls = _count_gradings(monkeypatch)
+    report = sweep(4)
+    assert report.mismatches == ()
+    assert len(calls) == report.total + len(set(images.values()))
+
+
+def test_sweep_grades_each_input_and_each_image_once(monkeypatch):
+    distinct_images = len(set(_images(6).values()))
+    calls = _count_gradings(monkeypatch)
+    report = sweep(6)
+    assert report.ok
+    assert len(calls) <= report.total + distinct_images
