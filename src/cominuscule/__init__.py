@@ -29,7 +29,6 @@ from .grading import (
     box,
     box_union,
     grade_diagram,
-    minimal_roots,
     p_grade,
 )
 from .hasse import (
@@ -61,7 +60,6 @@ from .subsystem import (
     direct_subsystem,
     generate_subsystem,
     perpendicular_compacts,
-    simple_system,
 )
 from .verify import (
     ExpectedResult,
@@ -114,7 +112,6 @@ __all__ = [
     "height",
     "highest_component",
     "is_positive",
-    "minimal_roots",
     "normalize_component",
     "p_grade",
     "pairing",
@@ -123,7 +120,6 @@ __all__ = [
     "recognize_labelings",
     "reflect",
     "restrict",
-    "simple_system",
     "sweep",
     "sweep_inputs",
 ]

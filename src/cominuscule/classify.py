@@ -2,13 +2,17 @@
 
 recognize() turns an abstract Cartan matrix into named components plus the
 node relabeling into Bourbaki numbering, canonicalized under diagram
-automorphisms.  classify_cominuscule() matches a one-cross-per-component
-decorated diagram against the table of irreducible cominuscule varieties.
+automorphisms.  Recognition matches each connected component against
+rootsys.component_cartan of every canonical type of its rank, so the shape of
+each Dynkin diagram is written down once, there.  classify_cominuscule()
+matches a one-cross-per-component decorated diagram against the table of
+irreducible cominuscule varieties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -17,7 +21,7 @@ from .errors import (
     InvalidDiagramError,
     NotCominusculeError,
 )
-from .rootsys import Component, DiagramType, component_cartan
+from .rootsys import Component, DiagramType, _canonical_families, component_cartan
 
 if TYPE_CHECKING:  # pragma: no cover
     from .subsystem import DecoratedDiagram
@@ -89,140 +93,51 @@ def _component_nodes(cartan: Matrix, n: int) -> list[list[int]]:
     return comps
 
 
-def _path_order(nodes: list[int], adj: dict[int, list[int]]) -> list[int]:
-    """Nodes of a path graph in walking order, from one endpoint."""
-    ends = [v for v in nodes if len(adj[v]) <= 1]
-    if len(nodes) == 1:
-        return nodes[:]
-    if len(ends) != 2:
-        raise ClassificationError("Dynkin component contains a cycle")
-    order = [ends[0]]
-    prev = None
-    while len(order) < len(nodes):
-        nxt = [v for v in adj[order[-1]] if v != prev]
-        if len(nxt) != 1:
-            raise ClassificationError("Dynkin component contains a cycle")
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+def _signature(cartan: Matrix, nodes: Sequence[int], i: int) -> tuple:
+    """Sorted (row, column) pairs of node i's nonzero off-diagonal entries."""
+    return tuple(
+        sorted((cartan[i][j], cartan[j][i]) for j in nodes if j != i and cartan[i][j])
+    )
 
 
-def _arm(start: int, branch: int, adj: dict[int, list[int]]) -> list[int]:
-    """Walk from a branch neighbor outward to the tip of its arm."""
-    arm = [start]
-    prev = branch
-    while True:
-        nxt = [v for v in adj[arm[-1]] if v != prev]
-        if not nxt:
-            return arm
-        if len(nxt) > 1:
-            raise ClassificationError("two branch nodes in one component")
-        prev = arm[-1]
-        arm.append(nxt[0])
+@lru_cache(maxsize=None)
+def _standard(rank: int) -> tuple[tuple[str, Matrix, tuple], ...]:
+    """Per canonical family of this rank: its Cartan matrix and node signatures."""
+    out = []
+    for family in _canonical_families(rank):
+        std = component_cartan(family, rank)
+        sigs = tuple(_signature(std, range(rank), b) for b in range(rank))
+        out.append((family, std, sigs))
+    return tuple(out)
 
 
-def _candidates(
-    cartan: Matrix, nodes: list[int]
-) -> tuple[str, int, list[tuple[int, ...]]]:
-    """Identify one connected component; return candidate Bourbaki labelings."""
-    rank = len(nodes)
-    if rank == 1:
-        return "A", 1, [(nodes[0],)]
+def _matches(
+    cartan: Matrix, options: list[list[int]], std: Matrix
+) -> list[tuple[int, ...]]:
+    """Every labeling c with cartan[c[i]][c[j]] == std[i][j], c[b] from options[b].
 
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    mults: dict[tuple[int, int], int] = {}
-    for a in nodes:
-        for b in nodes:
-            if a < b and cartan[a][b] != 0:
-                m = cartan[a][b] * cartan[b][a]
-                if m not in (1, 2, 3):
-                    raise ClassificationError(
-                        f"edge multiplicity {m} is not finite type"
-                    )
-                adj[a].append(b)
-                adj[b].append(a)
-                mults[(a, b)] = mults[(b, a)] = m
+    Backtracks in Bourbaki node order.  A node cannot be reused: its diagonal
+    entry 2 never equals an off-diagonal entry of std.
+    """
+    found: list[tuple[int, ...]] = []
+    c: list[int] = []
 
-    branches = [v for v in nodes if len(adj[v]) > 2]
-    if any(len(adj[v]) > 3 for v in nodes) or len(branches) > 1:
-        raise ClassificationError("diagram branching is not finite type")
+    def extend() -> None:
+        b = len(c)
+        if b == len(options):
+            found.append(tuple(c))
+            return
+        for v in options[b]:
+            if all(
+                cartan[v][c[a]] == std[b][a] and cartan[c[a]][v] == std[a][b]
+                for a in range(b)
+            ):
+                c.append(v)
+                extend()
+                c.pop()
 
-    multi_edges = [e for e, m in mults.items() if e[0] < e[1] and m > 1]
-
-    if branches:
-        if multi_edges:
-            raise ClassificationError("branched multiply-laced diagram")
-        center = branches[0]
-        arms = sorted(
-            (_arm(nb, center, adj) for nb in adj[center]), key=len
-        )
-        lengths = tuple(len(a) for a in arms)
-        if lengths[:2] == (1, 1):
-            # D family: tips are the two short arms, Bourbaki 1 ends the long arm
-            r = lengths[2] + 3
-            cands: list[tuple[int, ...]] = []
-            if r == 4:
-                tips = [a[0] for a in arms]
-                for i in range(3):
-                    for j in range(3):
-                        if j == i:
-                            continue
-                        k = 3 - i - j
-                        cands.append((tips[i], center, tips[j], tips[k]))
-            else:
-                long_arm = arms[2]
-                chain = tuple(reversed(long_arm)) + (center,)
-                t1, t2 = arms[0][0], arms[1][0]
-                cands = [chain + (t1, t2), chain + (t2, t1)]
-            return "D", r, cands
-        if lengths == (1, 2, 2):
-            tip = arms[0][0]
-            a, b = arms[1], arms[2]
-            return "E", 6, [
-                (a[1], tip, a[0], center, b[0], b[1]),
-                (b[1], tip, b[0], center, a[0], a[1]),
-            ]
-        if lengths == (1, 2, 3):
-            tip, two, three = arms[0][0], arms[1], arms[2]
-            return "E", 7, [(two[1], tip, two[0], center, *three)]
-        if lengths == (1, 2, 4):
-            tip, two, four = arms[0][0], arms[1], arms[2]
-            return "E", 8, [(two[1], tip, two[0], center, *four)]
-        raise ClassificationError(f"branch arm lengths {lengths} are not finite type")
-
-    path = _path_order(nodes, adj)
-    if not multi_edges:
-        return "A", rank, [tuple(path), tuple(reversed(path))]
-    if len(multi_edges) > 1:
-        raise ClassificationError("more than one multiple edge in a path")
-    (a, b) = multi_edges[0]
-    m = mults[(a, b)]
-
-    if m == 3:
-        if rank != 2:
-            raise ClassificationError("triple edge only occurs at rank 2")
-        # Bourbaki node 1 is the short root: its row carries the -3
-        short, long_ = (a, b) if cartan[a][b] == -3 else (b, a)
-        return "G", 2, [(short, long_)]
-
-    pos = {v: i for i, v in enumerate(path)}
-    lo = min(pos[a], pos[b])
-    if lo != 0 and lo != rank - 2:
-        # interior double edge: only F4 is finite type
-        if rank != 4 or lo != 1:
-            raise ClassificationError("interior double edge is not finite type")
-        p = path if cartan[path[2]][path[1]] == -2 else list(reversed(path))
-        return "F", 4, [tuple(p)]
-
-    if rank == 2:
-        # normalized to B2: node 1 long; the short node's row holds the -2
-        long_, short = (b, a) if cartan[a][b] == -2 else (a, b)
-        return "B", 2, [(long_, short)]
-
-    p = path if lo == rank - 2 else list(reversed(path))
-    last, penult = p[-1], p[-2]
-    family = "B" if cartan[last][penult] == -2 else "C"
-    return family, rank, [tuple(p)]
+    extend()
+    return found
 
 
 def recognize_labelings(
@@ -230,32 +145,33 @@ def recognize_labelings(
 ) -> tuple[tuple[str, int, tuple[tuple[int, ...], ...]], ...]:
     """Per component: family, rank, and every Bourbaki labeling that fits.
 
-    Multiple labelings appear exactly when the diagram has automorphisms
-    (chain reversal, fork swap, D4 triality, E6 reflection).  Callers that
-    carry extra structure, like a decoration, pick among them; recognize()
-    picks the lexicographically least.
+    Each component is matched against component_cartan of every canonical
+    family of its rank.  Multiple labelings appear exactly when the diagram
+    has automorphisms (chain reversal, fork swap, D4 triality, E6
+    reflection).  Callers that carry extra structure, like a decoration, pick
+    among them; recognize() picks the lexicographically least.
     """
     n = _validate_cartan(cartan)
     if n == 0:
         raise ClassificationError("empty Cartan matrix")
     out: list[tuple[str, int, tuple[tuple[int, ...], ...]]] = []
-    for comp_nodes in _component_nodes(cartan, n):
-        family, rank, cands = _candidates(cartan, comp_nodes)
-        std = component_cartan(family, rank)
-        valid = tuple(
-            c
-            for c in cands
-            if all(
-                cartan[c[i]][c[j]] == std[i][j]
-                for i in range(rank)
-                for j in range(rank)
-            )
-        )
-        if not valid:
+    for nodes in _component_nodes(cartan, n):
+        rank = len(nodes)
+        sigs = [_signature(cartan, nodes, v) for v in nodes]
+        profile = sorted(sigs)
+        for family, std, std_sigs in _standard(rank):
+            if profile != sorted(std_sigs):
+                continue
+            options = [[v for v, s in zip(nodes, sigs) if s == t] for t in std_sigs]
+            valid = _matches(cartan, options, std)
+            if valid:
+                out.append((family, rank, tuple(valid)))
+                break
+        else:
             raise ClassificationError(
-                f"component does not match the {family}{rank} Cartan matrix"
+                f"component on nodes {nodes} matches no finite-type Cartan"
+                f" matrix of rank {rank}"
             )
-        out.append((family, rank, valid))
     return tuple(out)
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import asdict
 
-from .classify import classify_cominuscule
+from .classify import CominusculeId, classify_cominuscule
 from .errors import CominusculeError, InvalidDiagramError
 from .grading import Decoration, GradedRootSystem, box_union, grade_diagram
 from .hasse import export, flag_hasse, hasse, highest_component, restrict
@@ -127,6 +128,7 @@ def _add_spec(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    """Build one result record and print it as JSON or as text."""
     import json as _json
 
     dtype, decoration = parse_spec(args.spec, args.numbering)
@@ -135,63 +137,45 @@ def cmd_compute(args: argparse.Namespace) -> int:
         allow_point_factors=args.allow_point_factors,
     )
     dropped = [str(dtype.components[i]) for i in graded.point_components]
-
-    if not any(decoration.crossed):
-        if args.json:
-            print(_json.dumps({
-                "input": {"type": str(dtype), "decoration": str(decoration)},
-                "associated": None,
-                "components": [],
-                "box_size": 0,
-                "node_embedding": [],
-                "dropped_point_factors": dropped,
-            }, indent=2))
-        else:
-            print(f"input: {render_spec(dtype, decoration)}")
-            print("point factor only; the associated variety is a single point")
-        return 0
-
-    sub = generate_subsystem(graded)
-    dd = decorated_diagram(sub)
-    ids = classify_cominuscule(dd)
-    box_size = len(box_union(graded))
-
-    if args.json:
-        print(_json.dumps({
-            "input": {"type": str(dtype), "decoration": str(decoration)},
-            "associated": {
+    record = {
+        "input": {"type": str(dtype), "decoration": str(decoration)},
+        "associated": None,
+        "components": [],
+        "box_size": 0,
+        "node_embedding": [],
+        "dropped_point_factors": dropped,
+    }
+    if any(decoration.crossed):
+        dd = decorated_diagram(generate_subsystem(graded))
+        record.update(
+            associated={
                 "type": str(dd.dtype),
                 "decoration": str(dd.decoration),
                 "diagram": render_diagram(dd.dtype, dd.decoration),
             },
-            "components": [
-                {
-                    "family": c.family,
-                    "rank": c.rank,
-                    "crossed_node": c.crossed_node,
-                    "embedded_node": c.embedded_node,
-                    "dimension": c.dimension,
-                    "description": c.description,
-                }
-                for c in ids
-            ],
-            "box_size": box_size,
-            "node_embedding": [list(r) for r in dd.node_embedding],
-            "dropped_point_factors": dropped,
-        }, indent=2))
-        return 0
+            components=[asdict(c) for c in classify_cominuscule(dd)],
+            box_size=len(box_union(graded)),
+            node_embedding=[list(r) for r in dd.node_embedding],
+        )
 
+    if args.json:
+        print(_json.dumps(record, indent=2))
+        return 0
     print(f"input: {render_spec(dtype, decoration)}")
+    assoc = record["associated"]
+    if assoc is None:
+        print("point factor only; the associated variety is a single point")
+        return 0
     print(f"       {render_diagram(dtype, decoration)}")
     if dropped:
         print(f"dropped point factors: {', '.join(dropped)}")
-    print(f"associated: {render_spec(dd.dtype, dd.decoration)}")
-    print(f"       {render_diagram(dd.dtype, dd.decoration)}")
-    for c in ids:
-        print(str(c))
-    print(f"box size: {box_size}")
-    for i, root in enumerate(dd.node_embedding):
-        print(f"node {i + 1} = {root}")
+    print(f"associated: {assoc['type']}:{assoc['decoration']}")
+    print(f"       {assoc['diagram']}")
+    for c in record["components"]:
+        print(CominusculeId(**c))
+    print(f"box size: {record['box_size']}")
+    for i, root in enumerate(record["node_embedding"]):
+        print(f"node {i + 1} = {tuple(root)}")
     return 0
 
 
@@ -210,8 +194,13 @@ def cmd_hasse(args: argparse.Namespace) -> int:
             h = restrict(h, frozenset(union))
     data = export(h, args.format)
     if args.output:
-        with open(args.output, "wb") as f:
-            f.write(data)
+        try:
+            with open(args.output, "wb") as f:
+                f.write(data)
+        except OSError as exc:
+            raise CominusculeError(
+                f"cannot write {args.output}: {exc.strerror or exc}"
+            ) from exc
     else:
         sys.stdout.write(data.decode())
     return 0

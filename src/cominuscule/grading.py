@@ -123,13 +123,6 @@ def box_union(graded: GradedRootSystem) -> frozenset[Root]:
     return frozenset(roots[i] for i in graded.box_idx.tolist())
 
 
-def minimal_roots(graded: GradedRootSystem) -> frozenset[Root]:
-    """Negatives of the box: the lowest-grade roots of each component."""
-    roots = graded.rs.roots
-    last = len(roots) - 1
-    return frozenset(roots[last - i] for i in graded.box_idx.tolist())
-
-
 def p_grade(graded: GradedRootSystem, root: Root) -> int:
     """Grade of a root: its coefficient sum over the crossed nodes."""
     return int(graded.grade_of_root[_root_index(graded.rs, root)])

@@ -116,6 +116,16 @@ def diagram_type(*pairs: tuple[str, int]) -> DiagramType:
     return DiagramType(tuple(normalize_component(f, r)[0] for f, r in pairs))
 
 
+def _canonical_families(rank: int) -> tuple[str, ...]:
+    """Families with a canonical type of this rank; B1, C1, C2, D3 are aliases."""
+    return tuple(
+        family
+        for family, (lo, hi) in _RANK_BOUNDS.items()
+        if lo <= rank <= (hi or rank)
+        and normalize_component(family, rank)[0] == Component(family, rank)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cartan data
 # ---------------------------------------------------------------------------

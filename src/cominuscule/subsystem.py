@@ -138,11 +138,6 @@ def direct_subsystem(graded: GradedRootSystem) -> Subsystem:
     return _make_subsystem(graded, members)
 
 
-def simple_system(sub: Subsystem) -> tuple[Root, ...]:
-    """Positive members not expressible as a sum of two positive members."""
-    return sub.simples
-
-
 def decorated_diagram(sub: Subsystem) -> DecoratedDiagram:
     """Name the subsystem's diagram and cross its grade +1 simple roots.
 

@@ -24,10 +24,10 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .classify import CominusculeId, classify_cominuscule, cominuscule_id
-from .errors import CominusculeError
+from .errors import CominusculeError, InvalidDiagramError
 from .grading import Decoration, box, grade_diagram
 from .hasse import flag_hasse, highest_component
-from .rootsys import DiagramType, Root, diagram_type
+from .rootsys import DiagramType, Root, _canonical_families, diagram_type
 from .subsystem import (
     DecoratedDiagram,
     decorated_diagram,
@@ -385,22 +385,17 @@ def _run_checks(
 
 
 def sweep_inputs(max_rank: int) -> list[DiagramType]:
-    """Irreducible types in sweep range; C2 is covered as B2."""
+    """Irreducible types in sweep range, family-major; C2 is covered as B2."""
     if max_rank < 2:
-        raise ValueError("sweep needs max_rank >= 2")
-    types: list[DiagramType] = []
-    for rank in range(1, max_rank + 1):
-        types.append(diagram_type(("A", rank)))
-    for rank in range(2, max_rank + 1):
-        types.append(diagram_type(("B", rank)))
-    for rank in range(3, max_rank + 1):
-        types.append(diagram_type(("C", rank)))
-    for rank in range(4, max_rank + 1):
-        types.append(diagram_type(("D", rank)))
-    for family, rank in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)):
-        if rank <= max_rank:
-            types.append(diagram_type((family, rank)))
-    return types
+        raise InvalidDiagramError(f"sweep needs max_rank >= 2, got {max_rank}")
+    return [
+        diagram_type(pair)
+        for pair in sorted(
+            (family, rank)
+            for rank in range(1, max_rank + 1)
+            for family in _canonical_families(rank)
+        )
+    ]
 
 
 def sweep(max_rank: int = 8) -> SweepReport:

@@ -1,8 +1,11 @@
 """Cartan matrix recognition and the table of cominuscule varieties."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cominuscule import (
     ClassificationError,
@@ -99,6 +102,70 @@ def test_recognition_is_permutation_invariant(pairs):
                     assert scrambled[c.nodes[i]][c.nodes[j]] == std[i][j]
 
 
+# Every canonical irreducible type up to rank 12.
+CANONICAL = (
+    [("A", r) for r in range(1, 13)]
+    + [("B", r) for r in range(2, 13)]
+    + [("C", r) for r in range(3, 13)]
+    + [("D", r) for r in range(4, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def _automorphisms(family, rank):
+    """Order of the Dynkin diagram's automorphism group, in closed form."""
+    if (family == "A" and rank >= 2) or (family, rank) == ("E", 6):
+        return 2
+    if family == "D":
+        return 6 if rank == 4 else 2
+    return 1
+
+
+def _block_cartan(pairs):
+    n = sum(rank for _, rank in pairs)
+    out = [[0] * n for _ in range(n)]
+    start = 0
+    for family, rank in pairs:
+        std = component_cartan(family, rank)
+        for i in range(rank):
+            for j in range(rank):
+                out[start + i][start + j] = std[i][j]
+        start += rank
+    return out
+
+
+@st.composite
+def permuted_products(draw):
+    """At most three canonical types of total rank <= 12, and a node permutation."""
+    pairs, budget = [], 12
+    for _ in range(draw(st.integers(1, 3))):
+        fits = [p for p in CANONICAL if p[1] <= budget]
+        if not fits:
+            break
+        pairs.append(draw(st.sampled_from(fits)))
+        budget -= pairs[-1][1]
+    perm = draw(st.permutations(range(12 - budget)))
+    return pairs, perm
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(permuted_products())
+def test_labelings_follow_a_node_permutation(case):
+    pairs, perm = case
+    base = _block_cartan(pairs)
+    expected = Counter(
+        (family, rank, frozenset(tuple(perm[v] for v in c) for c in labelings))
+        for family, rank, labelings in recognize_labelings(base)
+    )
+    found = recognize_labelings(_permuted(base, perm))
+    assert Counter(
+        (family, rank, frozenset(labelings)) for family, rank, labelings in found
+    ) == expected
+    assert sorted((family, rank) for family, rank, _ in found) == sorted(pairs)
+    for family, rank, labelings in found:
+        assert len(set(labelings)) == len(labelings) == _automorphisms(family, rank)
+
+
 def test_g2_orientation():
     # The short root's row carries the -3; Bourbaki puts it first.
     rec = recognize([[2, -1], [-3, 2]])
@@ -141,6 +208,19 @@ def test_labelings_expose_automorphisms():
 # ---------------------------------------------------------------- rejects
 
 
+def _star(*arms):
+    """Simply-laced Cartan matrix of a center node with arms of these lengths."""
+    n = 1 + sum(arms)
+    out = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            out[prev][v] = out[v][prev] = -1
+            prev, v = v, v + 1
+    return out
+
+
 @pytest.mark.parametrize(
     "cartan",
     [
@@ -179,6 +259,21 @@ def test_labelings_expose_automorphisms():
             [0, 0, -1, 2, -1],
             [0, 0, 0, -1, 2],
         ],  # interior double edge at rank 5
+        _star(1, 2, 5),  # the rank-9 "E9" shape
+        _star(1, 3, 3),  # affine E7
+        [
+            [2, -1, -1, -2],
+            [-1, 2, 0, 0],
+            [-1, 0, 2, 0],
+            [-1, 0, 0, 2],
+        ],  # branched with a double edge
+        [[2, -4], [-1, 2]],  # edge multiplicity 4, one-sided
+        [
+            [2, 0, 0, 0],
+            [0, 2, -1, -1],
+            [0, -1, 2, -1],
+            [0, -1, -1, 2],
+        ],  # A1 times a 3-cycle
         [[2, -1, 0], [-1, 2, -1]],  # not square
         [[2, -1], [-1, 1]],  # diagonal not 2
         [[2, 1], [1, 2]],  # positive off-diagonal

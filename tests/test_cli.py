@@ -191,6 +191,14 @@ def test_hasse_output_file(tmp_path):
     assert target.read_bytes() == b'{"nodes":[{"coeffs":[1],"grade":1}],"edges":[]}'
 
 
+def test_hasse_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    argv = ["hasse", "A2:xo", "--box", "--format", "json", "-o", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+    assert not target.parent.exists()
+
+
 def test_sweep_command(capsys):
     assert main(["sweep", "--max-rank", "2"]) == 0
     out = capsys.readouterr().out
@@ -201,6 +209,13 @@ def test_sweep_command_json(capsys):
     assert main(["sweep", "--max-rank", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["total"], doc["failed"]) == (10, 0)
+
+
+def test_sweep_command_rejects_tiny_rank(capsys):
+    assert main(["sweep", "--max-rank", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sweep needs max_rank >= 2, got 1\n"
+    assert captured.out == ""
 
 
 def test_sweep_command_reports_failure(monkeypatch, capsys):

@@ -20,7 +20,6 @@ from cominuscule import (
     generate_subsystem,
     grade_diagram,
     perpendicular_compacts,
-    simple_system,
 )
 from cominuscule.rootsys import is_positive
 from cominuscule.subsystem import _make_subsystem
@@ -104,11 +103,6 @@ def test_d6_middle_cross_gives_a3():
         (1, 0, 0, 0, 0, 0),
     )
     assert str(decorated_diagram(sub)) == "A3:xoo"
-
-
-def test_simple_system_is_the_simples_tuple():
-    sub = generate_subsystem(run([("A", 3)], "oxo"))
-    assert simple_system(sub) == sub.simples
 
 
 # ------------------------------------------------- perpendicular compacts
