@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from operator import add
 
 from .errors import DecorationError
 from .rootsys import DiagramType, Root, RootSystem, _root_index, build_root_system
@@ -48,10 +47,11 @@ class Decoration:
 class GradedRootSystem:
     """A root system together with the grading cut out by a decoration.
 
-    Per root index it holds `grade_of_root` and `top_of_root` (the top grade
-    of the root's component), and the box as `box_mask` and ascending
-    `box_idx`, all computed once here.  `grades` is a tuple-keyed view built
-    on first use.
+    Per root index it holds the list `grade_of_root`, and the box as the
+    ascending list `box_idx`, both computed once here.  The grades of the
+    positive roots are computed and mirrored onto the negatives, and a
+    component's top grade is the grade of its highest root.  `grades` is a
+    tuple-keyed view built on first use.
     """
 
     def __init__(
@@ -69,19 +69,22 @@ class GradedRootSystem:
         self.rs = rs
         self.decoration = decoration
 
-        grade = rs.M[:, list(decoration.crossed_nodes())].sum(1)
-        top = np.zeros(len(rs.dtype.components), dtype=np.int64)
-        np.maximum.at(top, rs.component_of_root, grade)
-        self.max_grades = tuple(top.tolist())
-        self.grade_of_root = grade
-        self.top_of_root = top = top[rs.component_of_root]
-        # point factors have top grade 0 and no box
-        self.box_mask = (grade == top) & (top > 0)
-        self.box_idx = self.box_mask.nonzero()[0]
-
-        self.point_components = tuple(
-            i for i, m in enumerate(self.max_grades) if m == 0
+        crossed = decoration.crossed_nodes()
+        half = len(rs.positive_roots)
+        grade = [0] * half
+        for j in crossed:
+            grade = list(map(add, grade, rs.columns[j]))
+        self.grade_of_root = [-g for g in reversed(grade)] + grade
+        self.max_grades = top = tuple(
+            sum([r[j] for j in crossed]) for r in rs.highest_roots
         )
+        # point factors have top grade 0 and no box
+        comp = rs.component_of_root
+        self.box_idx = [
+            i for i, g in enumerate(grade, half) if g and g == top[comp[i]]
+        ]
+
+        self.point_components = tuple(i for i, m in enumerate(top) if m == 0)
         if self.point_components and not allow_point_factors:
             names = ", ".join(
                 str(rs.dtype.components[i]) for i in self.point_components
@@ -94,7 +97,7 @@ class GradedRootSystem:
     @cached_property
     def grades(self) -> dict[Root, int]:
         """Coefficient tuple -> grade; a view for callers holding tuples."""
-        return dict(zip(self.rs.roots, self.grade_of_root.tolist()))
+        return dict(zip(self.rs.roots, self.grade_of_root))
 
 
 def grade_diagram(
@@ -111,18 +114,17 @@ def grade_diagram(
 def box(graded: GradedRootSystem) -> tuple[frozenset[Root], ...]:
     """Top-grade positive roots of each component; empty slot for point factors."""
     rs = graded.rs
-    idx = graded.box_idx
     parts: list[list[Root]] = [[] for _ in rs.dtype.components]
-    for i, ci in zip(idx.tolist(), rs.component_of_root[idx].tolist()):
-        parts[ci].append(rs.roots[i])
+    for i in graded.box_idx:
+        parts[rs.component_of_root[i]].append(rs.roots[i])
     return tuple(frozenset(p) for p in parts)
 
 
 def box_union(graded: GradedRootSystem) -> frozenset[Root]:
     roots = graded.rs.roots
-    return frozenset(roots[i] for i in graded.box_idx.tolist())
+    return frozenset(roots[i] for i in graded.box_idx)
 
 
 def p_grade(graded: GradedRootSystem, root: Root) -> int:
     """Grade of a root: its coefficient sum over the crossed nodes."""
-    return int(graded.grade_of_root[_root_index(graded.rs, root)])
+    return graded.grade_of_root[_root_index(graded.rs, root)]

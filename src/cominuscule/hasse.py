@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .grading import GradedRootSystem
 from .rootsys import DiagramType, Root, RootSystem, build_root_system
 
@@ -32,26 +30,20 @@ class HasseDiagram:
 @lru_cache(maxsize=None)
 def _full_hasse(dtype: DiagramType) -> HasseDiagram:
     rs = build_root_system(dtype)
-    m = len(rs.roots)
     # the positive roots sort last; a stable sort by height keeps ties in
     # root order
-    pos = np.arange(m // 2, m)
-    heights = rs.M[pos].sum(1)
-    order = np.argsort(heights, kind="stable")
-    pos, heights = pos[order], heights[order]
-    node_of = np.empty(m, dtype=np.intp)
-    node_of[pos] = np.arange(len(pos))
-    # succ[a, i]: root index of node a plus simple root i, -1 if not a root
-    P = rs.M[pos]
-    succ = np.empty((len(pos), dtype.total_rank), dtype=np.intp)
-    for i in range(dtype.total_rank):
-        P[:, i] += 1
-        succ[:, i] = rs.find(P)
-        P[:, i] -= 1
-    a, i = (succ >= 0).nonzero()  # row-major: edges ordered by (from, label)
-    roots = rs.roots
-    nodes = tuple(zip(map(roots.__getitem__, pos.tolist()), heights.tolist()))
-    edges = zip(a.tolist(), node_of[succ[a, i]].tolist(), (i + 1).tolist())
+    half = len(rs.positive_roots)
+    pos = sorted(range(half, 2 * half), key=lambda a: sum(rs.roots[a]))
+    node_of = {a: t for t, a in enumerate(pos)}
+    nodes = tuple((rs.roots[a], sum(rs.roots[a])) for a in pos)
+    # root + simple root i by its key, edges ordered by (from, label)
+    keys, at = rs.keys, rs.key_index
+    edges = []
+    for t, a in enumerate(pos):
+        for i, w in enumerate(rs._weights):
+            b = at.get(keys[a] + w)
+            if b is not None:
+                edges.append((t, node_of[b], i + 1))
     return HasseDiagram(nodes, tuple(edges))
 
 
@@ -78,8 +70,7 @@ def highest_component(
         adj[b].append(a)
     out = []
     for top in graded.rs.highest_roots:
-        # nodes sort by height, so a highest root sits near the end
-        start = next(i for i in range(len(nodes) - 1, -1, -1) if nodes[i][0] == top)
+        start = nodes.index((top, sum(top)))
         seen = {start}
         stack = [start]
         while stack:

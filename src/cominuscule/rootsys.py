@@ -3,30 +3,28 @@
 At the API edge a root is a tuple of integer coefficients over the simple
 roots, using Bourbaki node numbering inside each component.  Inside the
 package a root is its integer index into `RootSystem.roots`, and each root
-carries an exact int64 key, a linear form in its coefficients that is checked
-to be injective on the roots.  Construction closes the simple roots under
-simple reflections; the pairing and reflection tables are then filled with
-integer matrix products and key lookups, so pairings and reflections between
-arbitrary roots are table reads.  All arithmetic is exact.
+carries an exact integer key: its coefficients read as the digits of a
+mixed-radix number.  Construction closes the simple roots under the simple
+reflections and fills the reflection table by conjugation, so the reflection
+of one root in another is a table read and a pairing is one exact division.
+All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import InvalidDiagramError, NotARootError
 
 Root = tuple[int, ...]
 
-# The largest root count a build accepts.  The pairing and reflection tables
-# are dense m x m, so this bounds a build's time and memory: at the cap the
-# int64 pairing temporary takes 32 MB and the int32 reflection table 16 MB.
+# The largest root count a build accepts.  The reflection table is dense
+# m x m (a negative root shares its positive root's row), so this bounds a
+# build's time and memory: at the cap the table holds 2M references, 16 MB.
 # A40 has 1640 roots.
 MAX_ROOTS = 2000
 
@@ -216,31 +214,35 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _close_simples(cartan: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """All roots of the component, one coefficient row each, in the order found.
+def _links(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
+    """Per Cartan row, its nonzero entries as (column, entry)."""
+    return [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
 
-    Closes the simple roots under the simple reflections, one frontier of
-    new roots at a time; rows are told apart by their bytes.
+
+def _close_simples(
+    cartan: tuple[tuple[int, ...], ...],
+) -> tuple[list[Root], list[tuple[Root, int, Root]]]:
+    """The positive roots of a component, and the steps that found them.
+
+    Closes the simple roots under the simple reflections, keeping the
+    positive images.  Each root x after the simple roots is found by one step
+    (x, i, v): x = s_i(v), where v was found before x.
     """
-    C = np.array(cartan, dtype=np.int64)
-    rank = len(C)
-    frontier = np.eye(rank, dtype=np.int64)
-    found = [frontier]
-    seen = {row.tobytes() for row in frontier}
-    while len(frontier):
-        K = frontier @ C.T  # K[r, i] = <root r, alpha_i-check>
-        r, i = np.nonzero(K)
-        images = frontier[r]
-        images[np.arange(len(r)), i] -= K[r, i]
-        fresh = []
-        for row in images:
-            b = row.tobytes()
-            if b not in seen:
-                seen.add(b)
-                fresh.append(row)
-        frontier = np.array(fresh, dtype=np.int64).reshape(-1, rank)
-        found.append(frontier)
-    return np.concatenate(found)
+    rank = len(cartan)
+    roots = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    seen = set(roots)
+    steps: list[tuple[Root, int, Root]] = []
+    links = _links(cartan)
+    for v in roots:  # the loop also visits the roots found in it
+        for i, link in enumerate(links):
+            k = sum([c * v[j] for j, c in link])  # <v, alpha_i-check>
+            x = v[:i] + (v[i] - k,) + v[i + 1 :]
+            # s_i maps every positive root except alpha_i to a positive root
+            if k and x[i] >= 0 and x not in seen:
+                seen.add(x)
+                roots.append(x)
+                steps.append((x, i, v))
+    return roots, steps
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +261,6 @@ def height(root: Root) -> int:
     return sum(root)
 
 
-def _injective_key(M: np.ndarray, bound: int) -> np.ndarray:
-    """Weights of a linear form that takes distinct values on the rows of M.
-
-    The weights are pseudo-random below `bound` from a fixed seed.  The check,
-    not the choice, makes the key exact; a collision moves on to the next seed.
-    """
-    for seed in range(16):
-        rng = random.Random(seed)
-        weights = np.array([rng.randrange(1, bound) for _ in M[0]], dtype=np.int64)
-        keys = np.sort(M @ weights)
-        if (keys[1:] != keys[:-1]).all():
-            return weights
-    raise InvalidDiagramError("no injective root key found")
-
-
 # ---------------------------------------------------------------------------
 # RootSystem
 # ---------------------------------------------------------------------------
@@ -282,18 +269,19 @@ class RootSystem:
     """A built root system.  Treat as immutable; all operations are pure.
 
     Inside the package a root is an index into `roots`, the coefficient
-    tuples in lexicographic order: repeated builds are byte-for-byte
-    identical, the negative roots come first, and root m-1-i is the negative
-    of root i.  Per root index the system holds the coefficient matrix `M`,
-    `component_of_root`, `sign` (+1 or -1) and `keys`, an int64 linear form
-    in the coefficients that is checked to be injective on the roots.  Being
-    linear, the key of a sum or difference of roots is the sum or difference
-    of their keys; `find` and `combine` search the sorted keys and confirm
-    every hit on the coefficients.  `_pair[b, a]` = <root_b, root_a-check>
-    and `_refl[a, b]` is the index of the reflection of root b in root a.
+    tuples in lexicographic order: repeated builds are identical, the
+    negative roots come first, and root m-1-i is the negative of root i.  Per
+    root index the system holds `component_of_root` and `keys`, the
+    coefficients read as mixed-radix digits in base 2h+3, h the largest
+    height of a highest root.  Every sum or difference of two roots, and
+    every root plus a simple root, has all its digits in -(h+1)..h+1, so its
+    key is exact and `key_index` (key -> root index) looks it up.
+    `_refl[a][b]` is the index of the reflection of root b in root a, and
+    `pair(b, a)` = <root_b, root_a-check>.  `columns[j]` lists coefficient j
+    of each positive root.
 
     Coefficient tuples are the API edge: `roots`, `positive_roots`,
-    `highest_roots`, `simple_roots` and the lazily built `index` dict.
+    `highest_roots`, `simple_roots` and the `index` dict.
     """
 
     def __init__(
@@ -301,15 +289,16 @@ class RootSystem:
         dtype: DiagramType,
         cartan: tuple[tuple[int, ...], ...],
         symmetrizer: tuple[int, ...],
-        M: np.ndarray,
+        positive: list[Root],
+        steps: list[tuple[Root, int, Root]],
         highest_roots: tuple[Root, ...],
         component_of_node: tuple[int, ...],
     ) -> None:
-        """M: the coefficient rows of all roots, in lexicographic order."""
+        """positive: the positive roots; steps: (x, i, v) with x = s_i(v) for
+        every non-simple positive root x, each v a simple root or an earlier x."""
         self.dtype = dtype
         self.cartan = cartan
         self.symmetrizer = symmetrizer
-        self.roots = roots = tuple(map(tuple, M.tolist()))
         self.highest_roots = highest_roots
         self.component_of_node = component_of_node
         n = dtype.total_rank
@@ -317,84 +306,48 @@ class RootSystem:
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
 
-        m = len(roots)
-        if not (M[::-1] == -M).all():
-            raise InvalidDiagramError("root set is not closed under negation")
-        lead = (M != 0).argmax(1)  # first nonzero coefficient of each root
-        self.M = M
-        self.component_of_root = np.array(component_of_node, dtype=np.intp)[lead]
-        self.sign = np.sign(M[np.arange(m), lead]).astype(np.int8)
-        self.positive_roots = roots[m // 2 :]  # the negatives sort first
+        self.positive_roots = pos = tuple(sorted(positive))
+        self.columns = tuple(zip(*pos))
+        half = len(pos)
+        self.roots = roots = tuple(tuple(-c for c in r) for r in reversed(pos)) + pos
+        self.index = index = {r: i for i, r in enumerate(roots)}
+        comp = [component_of_node[next(j for j, c in enumerate(r) if c)] for r in pos]
+        self.component_of_root = tuple(comp[::-1] + comp)
 
-        # |coefficient sum| <= the largest height, and a reflection row adds at
-        # most four keys' worth, so keys and their combinations fit in int64
         top = max(height(r) for r in highest_roots)
-        self._weights = _injective_key(M, 2**62 // (4 * top))
-        self.keys = M @ self._weights
-        order = np.argsort(self.keys, kind="stable")
-        # a sentinel key above every real one keeps each search in bounds
-        self._sorted_keys = np.append(self.keys[order], np.iinfo(np.int64).max)
-        self._key_order = np.append(order, -1)
+        self._weights = weights = tuple((2 * top + 3) ** j for j in range(n))
+        keys = [sum(c * w for c, w in zip(r, weights)) for r in pos]
+        self.keys = keys = tuple([-k for k in reversed(keys)] + keys)
+        self.key_index = at = dict(zip(keys, range(2 * half)))
 
-        B = np.array(symmetrizer, dtype=np.int64)[:, None] * np.array(
-            cartan, dtype=np.int64
-        )
-        G = M @ B @ M.T
-        diag = G.diagonal().copy()
-        G *= 2
-        if (G % diag).any():
-            raise InvalidDiagramError("pairing table is not integral")
-        G //= diag
-        # pair[b, a] = <root_b, root_a-check>, always within -3..3
-        self._pair = G.astype(np.int8)
-        del G  # m x m int64; free it before the reflection table
-        refl = np.empty((m, m), dtype=np.int32)
-        for a in range(m):
-            row = self._locate(self.keys - self._pair[:, a] * self.keys[a])
-            if (row < 0).any():
-                raise InvalidDiagramError("a reflection left the root set")
-            refl[a] = row
-        self._refl = refl
-        # the system is cached and shared: freeze its tables
-        for table in (
-            M, self.component_of_root, self.sign, self.keys,
-            self._sorted_keys, self._key_order, self._pair, refl,
-        ):
-            table.flags.writeable = False
+        simple = []
+        for link, w in zip(_links(cartan), weights):
+            # s_i(b) = b - <b, alpha_i-check> alpha_i, found by its key, and
+            # s_i(-b) = -s_i(b)
+            try:
+                row = [
+                    at[key - w * sum([c * r[j] for j, c in link])]
+                    for r, key in zip(pos, keys[half:])
+                ]
+            except KeyError:
+                raise InvalidDiagramError("a reflection left the root set") from None
+            simple.append(tuple([2 * half - 1 - b for b in reversed(row)] + row))
+        refl = dict(zip(map(index.__getitem__, self.simple_roots), simple))
+        after = [itemgetter(*s) for s in simple]  # after[i](row) = row o s_i
+        for x, i, v in steps:
+            # s_x = s_i s_v s_i
+            refl[index[x]] = itemgetter(*after[i](refl[index[v]]))(simple[i])
+        rows = [refl[a] for a in range(half, 2 * half)]
+        self._refl = tuple(rows[::-1] + rows)  # s_(-a) = s_a
 
-    def _locate(self, keys: np.ndarray) -> np.ndarray:
-        """Index of the root carrying each key, -1 where no root does."""
-        pos = self._sorted_keys.searchsorted(keys)
-        return np.where(self._sorted_keys[pos] == keys, self._key_order[pos], -1)
-
-    def find(self, vectors: np.ndarray) -> np.ndarray:
-        """Index of each coefficient row in `roots`, -1 where it is not a root."""
-        vectors = np.asarray(vectors, dtype=np.int64)
-        idx = self._locate(vectors @ self._weights)
-        hit = idx >= 0
-        hit[hit] = (self.M[idx[hit]] == vectors[hit]).all(1)
-        return np.where(hit, idx, -1)
-
-    def combine(self, left: np.ndarray, right: np.ndarray, sign: int) -> np.ndarray:
-        """Indices of the roots equal to root a + sign * root b, a in left, b in right.
-
-        Keys find the candidates and coefficients confirm them; a root is
-        listed once per pair that reaches it.
-        """
-        found = self._locate(self.keys[left][:, None] + sign * self.keys[right])
-        i, j = (found >= 0).nonzero()
-        c = found[i, j]
-        M = self.M
-        return c[(M[left[i]] + sign * M[right[j]] == M[c]).all(1)]
-
-    @cached_property
-    def index(self) -> dict[Root, int]:
-        """Coefficient tuple -> root index; a view for callers holding tuples."""
-        return {r: i for i, r in enumerate(self.roots)}
+    def pair(self, b: int, a: int) -> int:
+        """<root_b, root_a-check> by index: b - s_a(b) is that many times a."""
+        keys = self.keys
+        return (keys[b] - keys[self._refl[a][b]]) // keys[a]
 
     def root_component(self, root: Root) -> int:
         """Index of the component a root lives in."""
-        return int(self.component_of_root[_root_index(self, root)])
+        return self.component_of_root[_root_index(self, root)]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.dtype}, {len(self.roots)} roots)"
@@ -410,7 +363,8 @@ def _build(dtype: DiagramType) -> RootSystem:
     total = dtype.total_rank
     cartan_rows = [[0] * total for _ in range(total)]
     symmetrizer: list[int] = []
-    blocks: list[np.ndarray] = []
+    positive: list[Root] = []
+    steps: list[tuple[Root, int, Root]] = []
     highest: list[Root] = []
     comp_of: list[int] = []
 
@@ -424,28 +378,30 @@ def _build(dtype: DiagramType) -> RootSystem:
         symmetrizer.extend(_symmetrizer(C))
         comp_of.extend([ci] * comp.rank)
 
-        local = _close_simples(C)
-        if len(local) != count:
+        local, local_steps = _close_simples(C)
+        if 2 * len(local) != count:
             raise InvalidDiagramError(
-                f"component {comp} closed to {len(local)} roots, expected {count}"
+                f"component {comp} closed to {2 * len(local)} roots, expected {count}"
             )
-        block = np.zeros((len(local), total), dtype=np.int64)
-        block[:, start:stop] = local
-        blocks.append(block)
+
+        def pad(r: Root) -> Root:
+            return (0,) * start + r + (0,) * (total - stop)
+
+        positive.extend(map(pad, local))
+        steps.extend((pad(x), start + i, pad(v)) for x, i, v in local_steps)
         # the highest root of an irreducible system is its unique root of
         # greatest height
-        heights = local.sum(1)
-        if (heights == heights.max()).sum() != 1:
+        heights = [sum(r) for r in local]
+        if heights.count(max(heights)) != 1:
             raise InvalidDiagramError(f"component {comp} has no unique highest root")
-        highest.append(tuple(block[heights.argmax()].tolist()))
+        highest.append(pad(local[heights.index(max(heights))]))
 
-    M = np.concatenate(blocks)
-    M = M[np.lexsort(M.T[::-1])]
     return RootSystem(
         dtype,
         tuple(tuple(row) for row in cartan_rows),
         tuple(symmetrizer),
-        M,
+        positive,
+        steps,
         tuple(highest),
         tuple(comp_of),
     )
@@ -459,21 +415,16 @@ def build_root_system(dtype: DiagramType) -> RootSystem:
 def _root_index(rs: RootSystem, root: Root) -> int:
     """Index of a coefficient tuple; NotARootError for anything else."""
     try:
-        v = np.asarray(root)
-    except (TypeError, ValueError):
-        v = None
-    if v is not None and v.shape == (rs.dtype.total_rank,) and v.dtype.kind in "biu":
-        i = int(rs.find(v[None])[0])
-        if i >= 0:
-            return i
-    raise NotARootError(f"{root!r} is not a root of {rs.dtype}")
+        return rs.index[tuple(root)]
+    except (KeyError, TypeError):
+        raise NotARootError(f"{root!r} is not a root of {rs.dtype}") from None
 
 
 def pairing(rs: RootSystem, beta: Root, alpha: Root) -> int:
     """<beta, alpha-check> = 2(beta, alpha)/(alpha, alpha)."""
-    return int(rs._pair[_root_index(rs, beta), _root_index(rs, alpha)])
+    return rs.pair(_root_index(rs, beta), _root_index(rs, alpha))
 
 
 def reflect(rs: RootSystem, alpha: Root, beta: Root) -> Root:
     """Reflection of beta in the hyperplane of alpha: beta - <beta, alpha-check> alpha."""
-    return rs.roots[rs._refl[_root_index(rs, alpha), _root_index(rs, beta)]]
+    return rs.roots[rs._refl[_root_index(rs, alpha)][_root_index(rs, beta)]]

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .classify import recognize_labelings
 from .errors import ClassificationError
 from .grading import Decoration, GradedRootSystem
@@ -24,16 +22,16 @@ from .rootsys import Component, DiagramType, Root, RootSystem, _root_index
 class Subsystem:
     """A reflection-closed set of ambient roots with its induced simple system.
 
-    `members` is a boolean mask over the ambient root indices; `roots` is the
-    same set as coefficient tuples.  `roots`, `simples` and `cartan` are
-    derived from `members` on first use, so a subsystem whose simple system
-    is never read never pays for it.
+    `members` is the frozenset of ambient root indices; `roots` is the same
+    set as coefficient tuples.  `roots`, `simples` and `cartan` are derived
+    from `members` on first use, so a subsystem whose simple system is never
+    read never pays for it.
     check_grades rescales each member's grade by its component's top grade,
     so values are always -1, 0 or +1.
     """
 
     graded: GradedRootSystem
-    members: np.ndarray = field(compare=False, repr=False)
+    members: frozenset[int] = field(compare=False, repr=False)
     check_grades: dict[Root, int]
 
     @property
@@ -43,31 +41,31 @@ class Subsystem:
     @cached_property
     def roots(self) -> frozenset[Root]:
         roots = self.graded.rs.roots
-        return frozenset(roots[i] for i in self.members.nonzero()[0].tolist())
+        return frozenset(roots[i] for i in self.members)
 
     @cached_property
-    def _simple_idx(self) -> np.ndarray:
+    def _simple_idx(self) -> list[int]:
         # positives ordered by (component, root); the simple ones are those no
         # sum of two positive members lands on
         rs = self.graded.rs
-        idx = self.members.nonzero()[0]
-        pos = idx[rs.sign[idx] > 0]
-        pos = pos[np.argsort(rs.component_of_root[pos], kind="stable")]
-        hit = np.zeros(len(rs.roots), dtype=bool)
-        hit[rs.combine(pos, pos, 1)] = True
-        return pos[~hit[pos]]
+        half = len(rs.positive_roots)
+        comp = rs.component_of_root
+        pos = sorted((i for i in self.members if i >= half), key=lambda i: (comp[i], i))
+        keys = [rs.keys[i] for i in pos]
+        sums = {a + b for a in keys for b in keys}
+        return [i for i, k in zip(pos, keys) if k not in sums]
 
     @cached_property
     def simples(self) -> tuple[Root, ...]:
         """Positive members not expressible as a sum of two positive members."""
         roots = self.graded.rs.roots
-        return tuple(roots[i] for i in self._simple_idx.tolist())
+        return tuple(roots[i] for i in self._simple_idx)
 
     @cached_property
     def cartan(self) -> tuple[tuple[int, ...], ...]:
         """Induced Cartan matrix: entry [i][j] is <simple_j, simple_i-check>."""
-        s = self._simple_idx
-        return tuple(map(tuple, self.graded.rs._pair[s, s[:, None]].tolist()))
+        s, pair = self._simple_idx, self.graded.rs.pair
+        return tuple(tuple(pair(b, a) for b in s) for a in s)
 
 
 @dataclass(frozen=True)
@@ -88,40 +86,37 @@ class DecoratedDiagram:
 
 
 def _make_subsystem(graded: GradedRootSystem, members) -> Subsystem:
-    """The subsystem on a member mask (or on a set of coefficient tuples)."""
+    """The subsystem on a set of root indices (or of coefficient tuples)."""
     rs = graded.rs
-    if not isinstance(members, np.ndarray):
-        mask = np.zeros(len(rs.roots), dtype=bool)
-        mask[[_root_index(rs, r) for r in members]] = True
-        members = mask
-    members.flags.writeable = False
-    idx = members.nonzero()[0]
-
-    g = graded.grade_of_root[idx]
-    top = graded.top_of_root[idx]
-    check = np.sign(g)
-    bad = check * top != g
-    if bad.any():
-        i = int(bad.argmax())
-        raise ClassificationError(
-            f"root {rs.roots[idx[i]]} has grade {g[i]},"
-            f" outside {{-{top[i]}, 0, {top[i]}}}"
-        )
-    check_grades = dict(zip(map(rs.roots.__getitem__, idx.tolist()), check.tolist()))
-    return Subsystem(graded, members, check_grades)
+    if not all(isinstance(i, int) for i in members):
+        members = [_root_index(rs, r) for r in members]
+    grade, top, comp = graded.grade_of_root, graded.max_grades, rs.component_of_root
+    check_grades = {}
+    for i in sorted(members):
+        g, t = grade[i], top[comp[i]]
+        if g not in (-t, 0, t):
+            raise ClassificationError(
+                f"root {rs.roots[i]} has grade {g}, outside {{-{t}, 0, {t}}}"
+            )
+        check_grades[rs.roots[i]] = (g > 0) - (g < 0)
+    return Subsystem(graded, frozenset(members), check_grades)
 
 
 def generate_subsystem(graded: GradedRootSystem) -> Subsystem:
-    """Reflection closure of the top-grade roots and their negatives."""
-    rs = graded.rs
-    members = graded.box_mask | graded.box_mask[::-1]
-    while True:
-        idx = members.nonzero()[0]
-        closure = np.zeros_like(members)
-        closure[rs._refl[idx[:, None], idx].ravel()] = True
-        if not (closure & ~members).any():
-            break
-        members |= closure
+    """Reflection closure of the top-grade roots and their negatives.
+
+    The closure is the orbit of the box under the reflections in the box
+    roots: s_(w a) = w s_a w^-1, so reflecting in the roots found adds none.
+    """
+    refl = graded.rs._refl
+    last = len(refl) - 1
+    rows = [refl[a] for a in graded.box_idx]
+    members = set(graded.box_idx) | {last - a for a in graded.box_idx}
+    frontier = list(members)
+    while frontier:
+        fresh = {row[b] for row in rows for b in frontier} - members
+        members |= fresh
+        frontier = list(fresh)
     return _make_subsystem(graded, members)
 
 
@@ -129,12 +124,16 @@ def direct_subsystem(graded: GradedRootSystem) -> Subsystem:
     """Top-grade roots, their negatives, and their pairwise differences.
 
     Independent of generate_subsystem by construction; the two must agree.
-    The two share the root index and keys, not the reflection table or the
-    closure.
+    The two share only the root index: this route reads the keys, the other
+    the reflection table.
     """
+    rs = graded.rs
+    last = len(rs.roots) - 1
     box = graded.box_idx
-    members = graded.box_mask | graded.box_mask[::-1]
-    members[graded.rs.combine(box, box, -1)] = True
+    members = set(box) | {last - a for a in box}
+    keys = [rs.keys[a] for a in box]
+    members.update(map(rs.key_index.get, [ka - kb for ka in keys for kb in keys]))
+    members.discard(None)
     return _make_subsystem(graded, members)
 
 
@@ -168,16 +167,22 @@ def decorated_diagram(sub: Subsystem) -> DecoratedDiagram:
     )
 
 
-def perpendicular_mask(sub: Subsystem) -> np.ndarray:
-    """Mask of the ambient grade-0 roots pairing to zero with every member."""
-    graded = sub.graded
-    return (graded.grade_of_root == 0) & ~graded.rs._pair[:, sub.members].any(1)
+def perpendicular_idx(sub: Subsystem) -> list[int]:
+    """Ambient grade-0 root indices fixed by the reflection in every member."""
+    grade = sub.graded.grade_of_root
+    half = len(grade) // 2
+    # b is fixed exactly when -b is: search the positive half, then mirror
+    found = [b for b in range(half, 2 * half) if grade[b] == 0]
+    for a in sub.members:
+        row = sub.graded.rs._refl[a]
+        found = [b for b in found if row[b] == b]
+    return [2 * half - 1 - b for b in reversed(found)] + found
 
 
 def perpendicular_compacts(sub: Subsystem) -> frozenset[Root]:
     """Ambient grade-0 roots pairing to zero with every subsystem member."""
     roots = sub.graded.rs.roots
-    return frozenset(roots[i] for i in perpendicular_mask(sub).nonzero()[0].tolist())
+    return frozenset(roots[i] for i in perpendicular_idx(sub))
 
 
 def associated_diagram(graded: GradedRootSystem) -> DecoratedDiagram:

@@ -10,8 +10,8 @@ exactly; nothing below imports the package's construction code.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from cominuscule import Decoration, diagram_type, grade_diagram
@@ -147,16 +147,36 @@ def euclidean_model(family: str, rank: int):
     return simples, roots
 
 
+def _left_inverse(simples) -> list[list[Fraction]]:
+    """Exact L with L S^T = identity, S the simples as rows, by Gauss-Jordan."""
+    n, d = len(simples), len(simples[0])
+    rows = [
+        [Fraction(s[k]) for s in simples] + [Fraction(int(k == j)) for j in range(d)]
+        for k in range(d)
+    ]
+    for col in range(n):
+        p = next(i for i in range(col, d) if rows[i][col])
+        rows[col], rows[p] = rows[p], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(d):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [row[n:] for row in rows[:n]]
+
+
 def coefficient_set(family: str, rank: int) -> set[tuple[int, ...]]:
     """Every root as a coefficient tuple over the simples, solved exactly."""
     simples, roots = euclidean_model(family, rank)
-    S = np.array(simples, dtype=np.int64)
-    pinv = np.linalg.pinv(S.T.astype(float))
+    inverse = _left_inverse(simples)
     out = set()
     for v in roots:
-        c = np.rint(pinv @ np.array(v, dtype=float)).astype(np.int64)
-        assert (c @ S == np.array(v, dtype=np.int64)).all(), (family, rank, v)
-        out.add(tuple(int(x) for x in c))
+        c = [sum(x * y for x, y in zip(row, v)) for row in inverse]
+        assert all(x.denominator == 1 for x in c), (family, rank, v)
+        c = tuple(int(x) for x in c)
+        back = tuple(sum(ci * s[k] for ci, s in zip(c, simples)) for k in range(len(v)))
+        assert back == tuple(v), (family, rank, v)
+        out.add(c)
     assert len(out) == len(roots), (family, rank)
     return out
 

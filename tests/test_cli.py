@@ -249,6 +249,23 @@ def test_module_entry_point():
     assert "projective space P^2" in proc.stdout
 
 
+def test_pipeline_imports_no_numpy():
+    script = (
+        "import sys\n"
+        "from cominuscule import sweep\n"
+        "from cominuscule.cli import main\n"
+        "assert main(['compute', 'E7:oxooooo', '--json']) == 0\n"
+        "assert main(['hasse', 'D5xA3:xoooxoxo', '--box']) == 0\n"
+        "assert sweep(3).failed == 0\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
 def test_compute_leaves_numpy_ma_unimported():
     # np.unique and np.isin import numpy.ma on first use, which costs every
     # CLI process about 1.7 MB of peak memory; the pipeline avoids both

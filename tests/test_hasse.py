@@ -57,7 +57,8 @@ def test_a_family_edge_count(rank):
     + [[("C", r)] for r in range(3, 9)]
     + [[("D", r)] for r in range(4, 9)]
     + [[("E", 6)], [("E", 7)], [("E", 8)], [("F", 4)], [("G", 2)]]
-    + [[("A", 2), ("B", 3)], [("G", 2), ("A", 1), ("D", 4)]],
+    + [[("A", 2), ("B", 3)], [("G", 2), ("A", 1), ("D", 4)]]
+    + [[("A", 1), ("A", 1), ("A", 1)], [("A", 1), ("G", 2)]],
 )
 def test_keyed_edges_match_tuple_successors(pairs):
     # reference: sort the positive roots by (height, root), then for each

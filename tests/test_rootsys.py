@@ -1,6 +1,5 @@
 """Root system construction against closed forms and the Euclidean oracle."""
 
-import numpy as np
 import pytest
 
 from cominuscule import (
@@ -14,7 +13,13 @@ from cominuscule import (
     pairing,
     reflect,
 )
-from cominuscule.rootsys import MAX_ROOTS, _build, component_cartan, height
+from cominuscule.rootsys import (
+    MAX_ROOTS,
+    _build,
+    _root_index,
+    component_cartan,
+    height,
+)
 
 from conftest import coefficient_set
 
@@ -175,14 +180,20 @@ def test_cartan_matrices_match_multiplicities():
     "family,rank", ALL_IRREDUCIBLE + [("A", 20), ("B", 12), ("D", 12)]
 )
 def test_keyed_reflection_table_is_exact(family, rank):
-    # every entry against beta - <beta, alpha-check> alpha in tuple arithmetic
+    # every entry against beta - <beta, alpha-check> alpha in tuple arithmetic,
+    # with <beta, alpha-check> = 2(beta, alpha)/(alpha, alpha) from the
+    # symmetrized Cartan form (x, y) = sum x_i d_i C_ij y_j
     rs = build_root_system(diagram_type((family, rank)))
     roots = rs.roots
-    pair = rs._pair.tolist()
-    refl = rs._refl.tolist()
+    d, C = rs.symmetrizer, rs.cartan
+    n = len(d)
+    refl = rs._refl
     for a, alpha in enumerate(roots):
+        form = [d[i] * sum(C[i][j] * alpha[j] for j in range(n)) for i in range(n)]
+        norm = sum(x * y for x, y in zip(alpha, form))
         for b, beta in enumerate(roots):
-            k = pair[b][a]
+            k, rest = divmod(2 * sum(x * y for x, y in zip(beta, form)), norm)
+            assert rest == 0
             assert roots[refl[a][b]] == tuple(x - k * y for x, y in zip(beta, alpha))
 
 
@@ -204,28 +215,27 @@ def test_key_lookup_rejects_non_roots(pairs, i, j):
     orthogonal_sum = tuple(
         x + y for x, y in zip(rs.simple_roots[i], rs.simple_roots[j])
     )
-    assert rs.find([zero, double, orthogonal_sum]).tolist() == [-1, -1, -1]
-    assert rs.find(rs.M).tolist() == list(range(len(rs.roots)))
+    assert [rs.index.get(v, -1) for v in (zero, double, orthogonal_sum)] == [-1, -1, -1]
+    assert [_root_index(rs, r) for r in rs.roots] == list(range(len(rs.roots)))
     for vector in (zero, double, orthogonal_sum):
         with pytest.raises(NotARootError):
             pairing(rs, vector, rs.simple_roots[i])
 
 
 def test_a40_keys_stay_exact():
-    # a base-3 mixed-radix key over 40 nodes would overflow int64
+    # a mixed-radix key over 40 nodes overflows int64 and must stay exact
     rs = _build.__wrapped__(diagram_type(("A", 40)))
     m = len(rs.roots)
     assert m == 1640
-    assert len(set(rs.keys.tolist())) == m
-    assert rs._refl.shape == (m, m)
+    assert len(set(rs.keys)) == m
+    assert [len(row) for row in rs._refl] == [m] * m
     # each row is a permutation of the roots: reflections are bijections
-    rows = np.sort(rs._refl, axis=1)
-    assert (rows == np.arange(m)).all()
+    assert all(sorted(row) == list(range(m)) for row in rs._refl)
     # a root reflects in itself to its negative, which sits at index m-1-i
-    assert (rs._refl[np.arange(m), np.arange(m)] == np.arange(m)[::-1]).all()
+    assert [rs._refl[i][i] for i in range(m)] == list(range(m))[::-1]
     theta = rs.index[rs.highest_roots[0]]
     assert reflect(rs, rs.simple_roots[0], rs.highest_roots[0]) == (0,) + (1,) * 39
-    assert rs.find(rs.M[[0, theta]]).tolist() == [0, theta]
+    assert [_root_index(rs, rs.roots[i]) for i in (0, theta)] == [0, theta]
 
 
 def test_root_count_cap_is_checked_before_building():

@@ -8,6 +8,7 @@ import cominuscule.verify as verify
 from cominuscule import (
     Decoration,
     DecorationError,
+    InvalidDiagramError,
     associated_diagram,
     classify_cominuscule,
     cominuscule_id,
@@ -201,6 +202,25 @@ def test_sweep_detects_a_broken_rule(monkeypatch):
     text = report.to_text()
     assert "A2:xo [expected-answer]" in text
     assert "rule broken" in text
+
+
+def test_sweep_over_the_input_limit_runs_nothing(monkeypatch, capsys):
+    graded = []
+    monkeypatch.setattr(verify, "grade_diagram", lambda *a, **k: graded.append(a))
+    assert sum(2**t.total_rank - 1 for t in sweep_inputs(13)) == 65923
+    assert 65923 <= verify.MAX_SWEEP_INPUTS < 131455
+    with pytest.raises(
+        InvalidDiagramError, match=f"131455 inputs, over the limit of {verify.MAX_SWEEP_INPUTS}"
+    ):
+        sweep(14)
+
+    from cominuscule.cli import main
+
+    assert main(["sweep", "--max-rank", "20"]) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep up to rank 20 has 8388967 inputs, over the limit of 100000\n"
+    )
+    assert graded == []
 
 
 def test_sweep_records_a_crash_and_carries_on(monkeypatch, capsys):
