@@ -8,11 +8,8 @@ answer from closed-form rules and checks the two against each other.
 
 from .classify import (
     CominusculeId,
-    Recognition,
-    RecognizedComponent,
     classify_cominuscule,
     cominuscule_id,
-    recognize,
     recognize_labelings,
 )
 from .errors import (
@@ -20,7 +17,6 @@ from .errors import (
     CominusculeError,
     DecorationError,
     InvalidDiagramError,
-    NotARootError,
     NotCominusculeError,
 )
 from .grading import (
@@ -29,7 +25,6 @@ from .grading import (
     box,
     box_union,
     grade_diagram,
-    p_grade,
 )
 from .hasse import (
     HasseDiagram,
@@ -46,11 +41,7 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     diagram_type,
-    height,
-    is_positive,
     normalize_component,
-    pairing,
-    reflect,
 )
 from .subsystem import (
     DecoratedDiagram,
@@ -86,10 +77,7 @@ __all__ = [
     "HasseDiagram",
     "InvalidDiagramError",
     "Mismatch",
-    "NotARootError",
     "NotCominusculeError",
-    "Recognition",
-    "RecognizedComponent",
     "Root",
     "RootSystem",
     "Subsystem",
@@ -109,16 +97,10 @@ __all__ = [
     "generate_subsystem",
     "grade_diagram",
     "hasse",
-    "height",
     "highest_component",
-    "is_positive",
     "normalize_component",
-    "p_grade",
-    "pairing",
     "perpendicular_compacts",
-    "recognize",
     "recognize_labelings",
-    "reflect",
     "restrict",
     "sweep",
     "sweep_inputs",

@@ -1,12 +1,11 @@
 """Recognition of finite-type Cartan matrices and the cominuscule table.
 
-recognize() turns an abstract Cartan matrix into named components plus the
-node relabeling into Bourbaki numbering, canonicalized under diagram
-automorphisms.  Recognition matches each connected component against
-rootsys.component_cartan of every canonical type of its rank, so the shape of
-each Dynkin diagram is written down once, there.  classify_cominuscule()
-matches a one-cross-per-component decorated diagram against the table of
-irreducible cominuscule varieties.
+recognize_labelings() names each component of an abstract Cartan matrix and
+lists every relabeling of its nodes into Bourbaki numbering.  Recognition
+matches each connected component against rootsys.component_cartan of every
+canonical type of its rank, so the shape of each Dynkin diagram is written
+down once, there.  classify_cominuscule() matches a one-cross-per-component
+decorated diagram against the table of irreducible cominuscule varieties.
 """
 
 from __future__ import annotations
@@ -21,39 +20,12 @@ from .errors import (
     InvalidDiagramError,
     NotCominusculeError,
 )
-from .rootsys import Component, DiagramType, _canonical_families, component_cartan
+from .rootsys import _canonical_families, component_cartan
 
 if TYPE_CHECKING:  # pragma: no cover
     from .subsystem import DecoratedDiagram
 
 Matrix = Sequence[Sequence[int]]
-
-
-@dataclass(frozen=True)
-class RecognizedComponent:
-    """One identified component.  nodes[b] = input index of Bourbaki node b+1."""
-
-    family: str
-    rank: int
-    nodes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Recognition:
-    components: tuple[RecognizedComponent, ...]
-
-    @property
-    def dtype(self) -> DiagramType:
-        return DiagramType(
-            tuple(Component(c.family, c.rank) for c in self.components)
-        )
-
-    def node_order(self) -> tuple[int, ...]:
-        """Input indices in global output order (components then Bourbaki)."""
-        out: list[int] = []
-        for c in self.components:
-            out.extend(c.nodes)
-        return tuple(out)
 
 
 def _validate_cartan(cartan: Matrix) -> int:
@@ -149,7 +121,7 @@ def recognize_labelings(
     family of its rank.  Multiple labelings appear exactly when the diagram
     has automorphisms (chain reversal, fork swap, D4 triality, E6
     reflection).  Callers that carry extra structure, like a decoration, pick
-    among them; recognize() picks the lexicographically least.
+    among them.
     """
     n = _validate_cartan(cartan)
     if n == 0:
@@ -173,16 +145,6 @@ def recognize_labelings(
                 f" matrix of rank {rank}"
             )
     return tuple(out)
-
-
-def recognize(cartan: Matrix) -> Recognition:
-    """Name a finite-type Cartan matrix and map its nodes to Bourbaki order."""
-    return Recognition(
-        tuple(
-            RecognizedComponent(family, rank, min(valid))
-            for family, rank, valid in recognize_labelings(cartan)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

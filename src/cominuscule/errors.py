@@ -9,10 +9,6 @@ class InvalidDiagramError(CominusculeError, ValueError):
     """Rejected diagram input: unknown family, rank out of bounds, bad spec string."""
 
 
-class NotARootError(CominusculeError, ValueError):
-    """A coefficient vector that is not a root of the ambient system."""
-
-
 class DecorationError(CominusculeError, ValueError):
     """Invalid decoration, e.g. wrong length or a component with no crossed node."""
 

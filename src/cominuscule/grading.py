@@ -9,11 +9,10 @@ cross contributes nothing and is normally an input error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add
 
 from .errors import DecorationError
-from .rootsys import DiagramType, Root, RootSystem, _root_index, build_root_system
+from .rootsys import DiagramType, Root, RootSystem, build_root_system
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,7 @@ class GradedRootSystem:
     Per root index it holds the list `grade_of_root`, and the box as the
     ascending list `box_idx`, both computed once here.  The grades of the
     positive roots are computed and mirrored onto the negatives, and a
-    component's top grade is the grade of its highest root.  `grades` is a
-    tuple-keyed view built on first use.
+    component's top grade is the grade of its highest root.
     """
 
     def __init__(
@@ -94,11 +92,6 @@ class GradedRootSystem:
                 " dropping to ignore them"
             )
 
-    @cached_property
-    def grades(self) -> dict[Root, int]:
-        """Coefficient tuple -> grade; a view for callers holding tuples."""
-        return dict(zip(self.rs.roots, self.grade_of_root))
-
 
 def grade_diagram(
     dtype: DiagramType,
@@ -123,8 +116,3 @@ def box(graded: GradedRootSystem) -> tuple[frozenset[Root], ...]:
 def box_union(graded: GradedRootSystem) -> frozenset[Root]:
     roots = graded.rs.roots
     return frozenset(roots[i] for i in graded.box_idx)
-
-
-def p_grade(graded: GradedRootSystem, root: Root) -> int:
-    """Grade of a root: its coefficient sum over the crossed nodes."""
-    return graded.grade_of_root[_root_index(graded.rs, root)]

@@ -13,12 +13,10 @@ All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from operator import itemgetter
 
-from .errors import InvalidDiagramError, NotARootError
+from .errors import InvalidDiagramError
 
 Root = tuple[int, ...]
 
@@ -185,35 +183,6 @@ def _root_count(comp: Component) -> int:
     return _EXCEPTIONAL_ROOTS[comp.family, comp.rank]
 
 
-def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Positive integer vector d with gcd 1 making diag(d) @ cartan symmetric."""
-    n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                stack.append(j)
-    if any(x is None for x in d):
-        raise InvalidDiagramError("component Cartan matrix is disconnected")
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in d]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    for i in range(n):
-        for j in range(n):
-            if ints[i] * cartan[i][j] != ints[j] * cartan[j][i]:
-                raise InvalidDiagramError("Cartan matrix is not symmetrizable")
-    return tuple(ints)
-
-
 def _links(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
     """Per Cartan row, its nonzero entries as (column, entry)."""
     return [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
@@ -246,22 +215,6 @@ def _close_simples(
 
 
 # ---------------------------------------------------------------------------
-# Root helpers
-# ---------------------------------------------------------------------------
-
-def is_positive(root: Root) -> bool:
-    """Sign of a root; coefficients of a root never mix signs."""
-    for c in root:
-        if c:
-            return c > 0
-    return False
-
-
-def height(root: Root) -> int:
-    return sum(root)
-
-
-# ---------------------------------------------------------------------------
 # RootSystem
 # ---------------------------------------------------------------------------
 
@@ -281,14 +234,13 @@ class RootSystem:
     of each positive root.
 
     Coefficient tuples are the API edge: `roots`, `positive_roots`,
-    `highest_roots`, `simple_roots` and the `index` dict.
+    `highest_roots` and `simple_roots`.
     """
 
     def __init__(
         self,
         dtype: DiagramType,
         cartan: tuple[tuple[int, ...], ...],
-        symmetrizer: tuple[int, ...],
         positive: list[Root],
         steps: list[tuple[Root, int, Root]],
         highest_roots: tuple[Root, ...],
@@ -298,7 +250,6 @@ class RootSystem:
         every non-simple positive root x, each v a simple root or an earlier x."""
         self.dtype = dtype
         self.cartan = cartan
-        self.symmetrizer = symmetrizer
         self.highest_roots = highest_roots
         self.component_of_node = component_of_node
         n = dtype.total_rank
@@ -310,11 +261,11 @@ class RootSystem:
         self.columns = tuple(zip(*pos))
         half = len(pos)
         self.roots = roots = tuple(tuple(-c for c in r) for r in reversed(pos)) + pos
-        self.index = index = {r: i for i, r in enumerate(roots)}
+        index = {r: i for i, r in enumerate(roots)}
         comp = [component_of_node[next(j for j, c in enumerate(r) if c)] for r in pos]
         self.component_of_root = tuple(comp[::-1] + comp)
 
-        top = max(height(r) for r in highest_roots)
+        top = max(sum(r) for r in highest_roots)
         self._weights = weights = tuple((2 * top + 3) ** j for j in range(n))
         keys = [sum(c * w for c, w in zip(r, weights)) for r in pos]
         self.keys = keys = tuple([-k for k in reversed(keys)] + keys)
@@ -345,10 +296,6 @@ class RootSystem:
         keys = self.keys
         return (keys[b] - keys[self._refl[a][b]]) // keys[a]
 
-    def root_component(self, root: Root) -> int:
-        """Index of the component a root lives in."""
-        return self.component_of_root[_root_index(self, root)]
-
     def __repr__(self) -> str:
         return f"RootSystem({self.dtype}, {len(self.roots)} roots)"
 
@@ -362,7 +309,6 @@ def _build(dtype: DiagramType) -> RootSystem:
         )
     total = dtype.total_rank
     cartan_rows = [[0] * total for _ in range(total)]
-    symmetrizer: list[int] = []
     positive: list[Root] = []
     steps: list[tuple[Root, int, Root]] = []
     highest: list[Root] = []
@@ -375,7 +321,6 @@ def _build(dtype: DiagramType) -> RootSystem:
         for i in range(comp.rank):
             for j in range(comp.rank):
                 cartan_rows[start + i][start + j] = C[i][j]
-        symmetrizer.extend(_symmetrizer(C))
         comp_of.extend([ci] * comp.rank)
 
         local, local_steps = _close_simples(C)
@@ -399,7 +344,6 @@ def _build(dtype: DiagramType) -> RootSystem:
     return RootSystem(
         dtype,
         tuple(tuple(row) for row in cartan_rows),
-        tuple(symmetrizer),
         positive,
         steps,
         tuple(highest),
@@ -411,20 +355,3 @@ def build_root_system(dtype: DiagramType) -> RootSystem:
     """Build (or fetch the cached copy of) the root system for a diagram type."""
     return _build(dtype)
 
-
-def _root_index(rs: RootSystem, root: Root) -> int:
-    """Index of a coefficient tuple; NotARootError for anything else."""
-    try:
-        return rs.index[tuple(root)]
-    except (KeyError, TypeError):
-        raise NotARootError(f"{root!r} is not a root of {rs.dtype}") from None
-
-
-def pairing(rs: RootSystem, beta: Root, alpha: Root) -> int:
-    """<beta, alpha-check> = 2(beta, alpha)/(alpha, alpha)."""
-    return rs.pair(_root_index(rs, beta), _root_index(rs, alpha))
-
-
-def reflect(rs: RootSystem, alpha: Root, beta: Root) -> Root:
-    """Reflection of beta in the hyperplane of alpha: beta - <beta, alpha-check> alpha."""
-    return rs.roots[rs._refl[_root_index(rs, alpha)][_root_index(rs, beta)]]

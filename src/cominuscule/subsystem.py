@@ -15,28 +15,22 @@ from functools import cached_property
 from .classify import recognize_labelings
 from .errors import ClassificationError
 from .grading import Decoration, GradedRootSystem
-from .rootsys import Component, DiagramType, Root, RootSystem, _root_index
+from .rootsys import Component, DiagramType, Root
 
 
 @dataclass(frozen=True)
 class Subsystem:
     """A reflection-closed set of ambient roots with its induced simple system.
 
-    `members` is the frozenset of ambient root indices; `roots` is the same
-    set as coefficient tuples.  `roots`, `simples` and `cartan` are derived
-    from `members` on first use, so a subsystem whose simple system is never
-    read never pays for it.
-    check_grades rescales each member's grade by its component's top grade,
-    so values are always -1, 0 or +1.
+    `members` is the frozenset of ambient root indices; every member's grade
+    is -t, 0 or t, t the top grade of its component.  `roots` is the same set
+    as coefficient tuples.  `roots`, `simples` and `cartan` are derived from
+    `members` on first use, so a subsystem whose simple system is never read
+    never pays for it.
     """
 
     graded: GradedRootSystem
-    members: frozenset[int] = field(compare=False, repr=False)
-    check_grades: dict[Root, int]
-
-    @property
-    def ambient(self) -> RootSystem:
-        return self.graded.rs
+    members: frozenset[int] = field(repr=False)
 
     @cached_property
     def roots(self) -> frozenset[Root]:
@@ -85,21 +79,17 @@ class DecoratedDiagram:
         return f"{self.dtype}:{self.decoration}"
 
 
-def _make_subsystem(graded: GradedRootSystem, members) -> Subsystem:
-    """The subsystem on a set of root indices (or of coefficient tuples)."""
+def _make_subsystem(graded: GradedRootSystem, members: set[int]) -> Subsystem:
+    """The subsystem on a set of root indices, checking the grade trichotomy."""
     rs = graded.rs
-    if not all(isinstance(i, int) for i in members):
-        members = [_root_index(rs, r) for r in members]
     grade, top, comp = graded.grade_of_root, graded.max_grades, rs.component_of_root
-    check_grades = {}
     for i in sorted(members):
         g, t = grade[i], top[comp[i]]
         if g not in (-t, 0, t):
             raise ClassificationError(
                 f"root {rs.roots[i]} has grade {g}, outside {{-{t}, 0, {t}}}"
             )
-        check_grades[rs.roots[i]] = (g > 0) - (g < 0)
-    return Subsystem(graded, frozenset(members), check_grades)
+    return Subsystem(graded, frozenset(members))
 
 
 def generate_subsystem(graded: GradedRootSystem) -> Subsystem:
@@ -138,18 +128,19 @@ def direct_subsystem(graded: GradedRootSystem) -> Subsystem:
 
 
 def decorated_diagram(sub: Subsystem) -> DecoratedDiagram:
-    """Name the subsystem's diagram and cross its grade +1 simple roots.
+    """Name the subsystem's diagram and cross its positive-grade simple roots.
 
     Among the automorphic Bourbaki labelings of each component, take the one
     placing the crossed node earliest; this makes the output a fixed point of
     the pipeline instead of flipping under chain reversal or fork swaps.
     """
+    grade, simple = sub.graded.grade_of_root, sub._simple_idx
     components: list[Component] = []
     order: list[int] = []
     crossed: list[bool] = []
     for family, rank, labelings in recognize_labelings(sub.cartan):
         def marks(nodes: tuple[int, ...]) -> tuple[bool, ...]:
-            return tuple(sub.check_grades[sub.simples[i]] == 1 for i in nodes)
+            return tuple(grade[simple[i]] > 0 for i in nodes)
 
         nodes = min(labelings, key=lambda c: ([not m for m in marks(c)], c))
         local = marks(nodes)

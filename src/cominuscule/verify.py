@@ -405,16 +405,19 @@ def sweep_inputs(max_rank: int) -> list[DiagramType]:
 def sweep(max_rank: int = 8) -> SweepReport:
     """Run every decoration of every type in range through all the checks.
 
-    The inputs are counted first; above MAX_SWEEP_INPUTS nothing runs.
+    The inputs are counted rank by rank before any type is listed; at the
+    first rank where the count passes MAX_SWEEP_INPUTS nothing runs.
     """
     start = time.monotonic()
+    count = 0
+    for rank in range(1, max_rank + 1):
+        count += len(_canonical_families(rank)) * (2**rank - 1)
+        if count > MAX_SWEEP_INPUTS:
+            raise InvalidDiagramError(
+                f"sweep up to rank {rank} has {count} inputs,"
+                f" over the limit of {MAX_SWEEP_INPUTS}"
+            )
     types = sweep_inputs(max_rank)
-    count = sum(2**t.total_rank - 1 for t in types)
-    if count > MAX_SWEEP_INPUTS:
-        raise InvalidDiagramError(
-            f"sweep up to rank {max_rank} has {count} inputs,"
-            f" over the limit of {MAX_SWEEP_INPUTS}"
-        )
     total = passed = 0
     problems: list[Mismatch] = []
     images: Images = {}

@@ -16,7 +16,6 @@ from cominuscule import (
     classify_cominuscule,
     cominuscule_id,
     diagram_type,
-    recognize,
     recognize_labelings,
 )
 from cominuscule.rootsys import build_root_system, component_cartan
@@ -36,24 +35,22 @@ ALL_IRREDUCIBLE = (
 
 @pytest.mark.parametrize("family,rank", ALL_IRREDUCIBLE)
 def test_identity_labeling_recognized(family, rank):
-    rec = recognize(component_cartan(family, rank))
-    assert len(rec.components) == 1
-    c = rec.components[0]
-    assert (c.family, c.rank) == (family, rank)
-    assert c.nodes == tuple(range(rank))
-    assert rec.node_order() == tuple(range(rank))
-    assert str(rec.dtype) == f"{family}{rank}"
+    ((fam, r, labelings),) = recognize_labelings(component_cartan(family, rank))
+    assert (fam, r) == (family, rank)
+    assert min(labelings) == tuple(range(rank))
 
 
 def test_product_recognized_in_block_order():
     rs = build_root_system(diagram_type(("A", 2), ("B", 3), ("G", 2)))
-    rec = recognize(rs.cartan)
-    assert [(c.family, c.rank) for c in rec.components] == [
+    found = recognize_labelings(rs.cartan)
+    assert [(family, rank) for family, rank, _ in found] == [
         ("A", 2),
         ("B", 3),
         ("G", 2),
     ]
-    assert rec.node_order() == tuple(range(7))
+    assert tuple(v for _, _, labelings in found for v in min(labelings)) == tuple(
+        range(7)
+    )
 
 
 def _permuted(cartan, perm):
@@ -90,16 +87,17 @@ def test_recognition_is_permutation_invariant(pairs):
         perm = list(range(n))
         rng.shuffle(perm)
         scrambled = _permuted(base, perm)
-        rec = recognize(scrambled)
-        assert sorted((c.family, c.rank) for c in rec.components) == sorted(
+        found = recognize_labelings(scrambled)
+        assert sorted((family, rank) for family, rank, _ in found) == sorted(
             pairs
         )
-        # The returned labeling must reproduce the standard matrix exactly.
-        for c in rec.components:
-            std = component_cartan(c.family, c.rank)
-            for i in range(c.rank):
-                for j in range(c.rank):
-                    assert scrambled[c.nodes[i]][c.nodes[j]] == std[i][j]
+        # Every returned labeling must reproduce the standard matrix exactly.
+        for family, rank, labelings in found:
+            std = component_cartan(family, rank)
+            for nodes in labelings:
+                for i in range(rank):
+                    for j in range(rank):
+                        assert scrambled[nodes[i]][nodes[j]] == std[i][j]
 
 
 # Every canonical irreducible type up to rank 12.
@@ -168,27 +166,23 @@ def test_labelings_follow_a_node_permutation(case):
 
 def test_g2_orientation():
     # The short root's row carries the -3; Bourbaki puts it first.
-    rec = recognize([[2, -1], [-3, 2]])
-    assert rec.components[0] == recognize([[2, -3], [-1, 2]]).components[0].__class__(
-        "G", 2, (1, 0)
-    )
+    assert recognize_labelings([[2, -1], [-3, 2]]) == (("G", 2, ((1, 0),)),)
+    assert recognize_labelings([[2, -3], [-1, 2]]) == (("G", 2, ((0, 1),)),)
 
 
 def test_b2_orientation():
     # The -2 sits in the short node's row; Bourbaki node 1 is the long one.
-    c = recognize([[2, -1], [-2, 2]]).components[0]
-    assert (c.family, c.rank, c.nodes) == ("B", 2, (0, 1))
-    c = recognize([[2, -2], [-1, 2]]).components[0]
-    assert (c.family, c.rank, c.nodes) == ("B", 2, (1, 0))
+    assert recognize_labelings([[2, -1], [-2, 2]]) == (("B", 2, ((0, 1),)),)
+    assert recognize_labelings([[2, -2], [-1, 2]]) == (("B", 2, ((1, 0),)),)
 
 
 def test_bc_distinguished_by_last_edge():
-    b3 = recognize(component_cartan("B", 3)).components[0]
-    c3 = recognize(component_cartan("C", 3)).components[0]
-    assert (b3.family, c3.family) == ("B", "C")
+    ((b3, _, _),) = recognize_labelings(component_cartan("B", 3))
+    ((c3, _, _),) = recognize_labelings(component_cartan("C", 3))
+    assert (b3, c3) == ("B", "C")
     # Transposing swaps the families.
     t = [list(r) for r in zip(*component_cartan("B", 3))]
-    assert recognize(t).components[0].family == "C"
+    assert recognize_labelings(t)[0][0] == "C"
 
 
 def test_labelings_expose_automorphisms():
@@ -284,7 +278,7 @@ def _star(*arms):
 )
 def test_invalid_cartan_rejected(cartan):
     with pytest.raises(ClassificationError):
-        recognize(cartan)
+        recognize_labelings(cartan)
 
 
 # ---------------------------------------------------------------- the table

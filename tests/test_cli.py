@@ -1,14 +1,16 @@
 """Command-line interface: spec parsing, rendering, subcommands, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 import cominuscule.verify as verify
-from cominuscule import CominusculeError, cominuscule_id
+from cominuscule import CominusculeError, NotCominusculeError, cominuscule_id
 from cominuscule.cli import (
+    _TABLE,
     CARTER_TO_BOURBAKI,
     build_parser,
     main,
@@ -16,6 +18,7 @@ from cominuscule.cli import (
     render_diagram,
     render_spec,
 )
+from cominuscule.rootsys import _canonical_families, component_cartan
 
 
 # ---------------------------------------------------------------- parsing
@@ -66,6 +69,37 @@ def test_carter_numbering_remaps_exceptional_nodes():
 def test_carter_table_is_a_permutation():
     for (fam, rank), row in CARTER_TO_BOURBAKI.items():
         assert sorted(row) == list(range(1, rank + 1))
+
+
+def _carter_order(cartan):
+    """Bourbaki nodes (1-based) in Carter order, by the rule in the README:
+    walk the longest arm in to the trivalent node, take the one-node arm,
+    then walk out the remaining arm.  A tie between the two longest arms
+    goes to the arm through node 1."""
+    n = len(cartan)
+    adj = [[j for j in range(n) if j != i and cartan[i][j]] for i in range(n)]
+    (center,) = [i for i in range(n) if len(adj[i]) == 3]
+    arms = []
+    for v in adj[center]:
+        arm, prev = [v], center
+        while len(adj[arm[-1]]) == 2:
+            (step,) = [w for w in adj[arm[-1]] if w != prev]
+            prev = arm[-1]
+            arm.append(step)
+        arms.append(arm)
+    (short,) = [arm for arm in arms if len(arm) == 1]
+    longest = max(arms, key=lambda arm: (len(arm), 0 in arm))
+    (rest,) = [arm for arm in arms if arm is not short and arm is not longest]
+    return tuple(v + 1 for v in longest[::-1] + [center] + short + rest)
+
+
+@pytest.mark.parametrize("rank", [6, 7, 8])
+def test_carter_rows_follow_the_arm_rule(rank):
+    assert CARTER_TO_BOURBAKI["E", rank] == _carter_order(component_cartan("E", rank))
+
+
+def test_carter_f4_row_is_the_identity():
+    assert CARTER_TO_BOURBAKI["F", 4] == (1, 2, 3, 4)
 
 
 # -------------------------------------------------------------- rendering
@@ -232,6 +266,38 @@ def test_table_command(capsys):
     out = capsys.readouterr().out
     assert "Grassmannian of k-planes" in out
     assert "E7      7             27" in out
+
+
+def _table_rows(family, rank):
+    """{node: dimension} that the rows of the `table` text list for a type."""
+    listed = {}
+    for line in _TABLE.splitlines()[1:]:
+        kind, nodes, dim, _ = re.split(r"  +", line)
+        if kind not in (f"{family}_r", f"{family}{rank}"):
+            continue
+        # "2r-1" -> "2*r-1", "k(r+1-k)" -> "k*(r+1-k)"
+        dim = re.sub(r"(?<=[\w)])(?=[a-z(])", "*", dim)
+        if nodes == "any k":
+            nodes = range(1, rank + 1)
+        else:
+            nodes = [eval(x, {"r": rank}) for x in nodes.split(" or ")]
+        for k in nodes:
+            listed[k] = eval(dim, {"r": rank, "k": k})
+    return listed
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [(f, r) for r in range(4, 10) for f in _canonical_families(r)],
+)
+def test_table_text_agrees_with_cominuscule_id(family, rank):
+    listed = _table_rows(family, rank)
+    for node in range(1, rank + 1):
+        if node in listed:
+            assert cominuscule_id(family, rank, node).dimension == listed[node]
+        else:
+            with pytest.raises(NotCominusculeError):
+                cominuscule_id(family, rank, node)
 
 
 def test_parser_requires_a_subcommand():

@@ -21,7 +21,6 @@ from cominuscule import (
     grade_diagram,
     perpendicular_compacts,
 )
-from cominuscule.rootsys import is_positive
 from cominuscule.subsystem import _make_subsystem
 
 
@@ -90,7 +89,7 @@ def test_b5_interior_single_cross_is_a_line():
     theta = (1, 2, 2, 2, 2)
     assert sub.roots == {theta, (-1, -2, -2, -2, -2)}
     assert sub.simples == (theta,)
-    assert sub.check_grades[theta] == 1
+    assert graded.grade_of_root[graded.rs.roots.index(theta)] == graded.max_grades[0]
     assert str(decorated_diagram(sub)) == "A1:x"
 
 
@@ -108,12 +107,18 @@ def test_d6_middle_cross_gives_a3():
 # ------------------------------------------------- perpendicular compacts
 
 
+def compact_roots(graded):
+    """The grade-0 roots as coefficient tuples."""
+    return {r for r, g in zip(graded.rs.roots, graded.grade_of_root) if g == 0}
+
+
+
 def test_perpendicular_compacts_quadric_case():
     # With only the highest root in play every compact root is orthogonal.
     graded = run([("B", 5)], "oxooo")
     sub = generate_subsystem(graded)
     perp = perpendicular_compacts(sub)
-    zero_grade = {r for r in graded.rs.roots if graded.grades[r] == 0}
+    zero_grade = compact_roots(graded)
     assert perp == zero_grade
     assert len(perp) == 20
 
@@ -128,8 +133,8 @@ def test_compact_roots_split_between_subsystem_and_perpendicular():
         graded = run(pairs, dec)
         sub = generate_subsystem(graded)
         perp = perpendicular_compacts(sub)
-        compacts = {r for r in graded.rs.roots if graded.grades[r] == 0}
-        inside = {r for r in sub.roots if graded.grades[r] == 0}
+        compacts = compact_roots(graded)
+        inside = sub.roots & compacts
         assert perp | inside == compacts
         assert not perp & inside
 
@@ -187,7 +192,7 @@ def _assert_routes_agree(graded):
     assert a.roots == b.roots
     assert a.simples == b.simples
     assert a.cartan == b.cartan
-    assert a.check_grades == b.check_grades
+    assert a == b
     return a
 
 
@@ -197,18 +202,22 @@ def _assert_structure(graded, sub):
     for i, row in enumerate(sub.cartan):
         assert row[i] == 2
         assert all(v <= 0 for j, v in enumerate(row) if j != i)
-    # Closed under negation, grades rescale to -1/0/+1 antisymmetrically.
-    for r in sub.roots:
-        neg = tuple(-c for c in r)
-        assert neg in sub.roots
-        assert sub.check_grades[r] in (-1, 0, 1)
-        assert sub.check_grades[neg] == -sub.check_grades[r]
-    for r in box_union(graded):
-        assert sub.check_grades[r] == 1
+    # Closed under negation, grades -t/0/+t antisymmetrically, t the top
+    # grade of the member's component.
+    grade, last = graded.grade_of_root, len(rs.roots) - 1
+    for i in sub.members:
+        t = graded.max_grades[rs.component_of_root[i]]
+        assert last - i in sub.members
+        assert grade[i] in (-t, 0, t)
+        assert grade[last - i] == -grade[i]
+    box = {rs.roots.index(r) for r in box_union(graded)}
+    assert box <= sub.members
+    assert all(grade[i] == graded.max_grades[rs.component_of_root[i]] for i in box)
     # Every positive member reaches a simple root by subtracting simples.
     simple_set = set(sub.simples)
+    positive = set(rs.positive_roots)
     for r in sub.roots:
-        if not is_positive(r) or r in simple_set:
+        if r not in positive or r in simple_set:
             continue
         assert any(
             tuple(x - y for x, y in zip(r, s)) in sub.roots
@@ -253,7 +262,7 @@ def test_direct_route_simples_after_replace():
         graded = run(pairs, dec)
         ref = generate_subsystem(graded)
         sub = direct_subsystem(graded)
-        copy = dataclasses.replace(sub, check_grades=dict(sub.check_grades))
+        copy = dataclasses.replace(sub, members=frozenset(sub.members))
         assert not {"simples", "cartan"} & vars(copy).keys()
         assert copy.simples == ref.simples
         assert copy.cartan == ref.cartan
@@ -297,10 +306,10 @@ def test_all_point_factors_give_empty_subsystem():
 
 def test_two_crossed_simples_is_rejected():
     sub = generate_subsystem(run([("A", 3)], "xoo"))
-    doctored = dict(sub.check_grades)
-    for s in sub.simples:
-        doctored[s] = 1
-    bad = dataclasses.replace(sub, check_grades=doctored)
+    doctored = run([("A", 3)], "xoo")
+    for i in sub._simple_idx:
+        doctored.grade_of_root[i] = 1
+    bad = dataclasses.replace(sub, graded=doctored)
     with pytest.raises(ClassificationError):
         decorated_diagram(bad)
 
@@ -309,7 +318,7 @@ def test_intermediate_grade_is_rejected():
     # A grade-1 root in a grading whose top grade is 2 violates trichotomy.
     graded = run([("B", 3)], "oxo")
     assert graded.max_grades[0] == 2
-    alpha2 = (0, 1, 0)
-    assert graded.grades[alpha2] == 1
+    alpha2 = graded.rs.roots.index((0, 1, 0))
+    assert graded.grade_of_root[alpha2] == 1
     with pytest.raises(ClassificationError):
-        _make_subsystem(graded, frozenset({alpha2}))
+        _make_subsystem(graded, {alpha2})

@@ -216,10 +216,13 @@ def test_sweep_over_the_input_limit_runs_nothing(monkeypatch, capsys):
 
     from cominuscule.cli import main
 
-    assert main(["sweep", "--max-rank", "20"]) == 2
-    assert capsys.readouterr().err == (
-        "error: sweep up to rank 20 has 8388967 inputs, over the limit of 100000\n"
-    )
+    # counting stops at the first rank over the limit, so a huge rank costs
+    # no more than rank 14 and its count is never formatted
+    for max_rank in ("20", "14500", str(10**9)):
+        assert main(["sweep", "--max-rank", max_rank]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep up to rank 14 has 131455 inputs, over the limit of 100000\n"
+        )
     assert graded == []
 
 
