@@ -84,31 +84,29 @@ def _standard(rank: int) -> tuple[tuple[str, Matrix, tuple], ...]:
 
 
 def _matches(
-    cartan: Matrix, options: list[list[int]], std: Matrix
+    cartan: Matrix,
+    options: list[list[int]],
+    std: Matrix,
+    c: tuple[int, ...] = (),
 ) -> list[tuple[int, ...]]:
-    """Every labeling c with cartan[c[i]][c[j]] == std[i][j], c[b] from options[b].
+    """Every labeling extending c with cartan[c[i]][c[j]] == std[i][j], c[b]
+    from options[b].
 
     Backtracks in Bourbaki node order.  A node cannot be reused: its diagonal
-    entry 2 never equals an off-diagonal entry of std.
+    entry 2 never equals an off-diagonal entry of std.  The search recurses
+    through this module-level function, not a closure, so it leaves no
+    reference cycle for the garbage collector.
     """
+    b = len(c)
+    if b == len(options):
+        return [c]
     found: list[tuple[int, ...]] = []
-    c: list[int] = []
-
-    def extend() -> None:
-        b = len(c)
-        if b == len(options):
-            found.append(tuple(c))
-            return
-        for v in options[b]:
-            if all(
-                cartan[v][c[a]] == std[b][a] and cartan[c[a]][v] == std[a][b]
-                for a in range(b)
-            ):
-                c.append(v)
-                extend()
-                c.pop()
-
-    extend()
+    for v in options[b]:
+        if all(
+            cartan[v][c[a]] == std[b][a] and cartan[c[a]][v] == std[a][b]
+            for a in range(b)
+        ):
+            found.extend(_matches(cartan, options, std, c + (v,)))
     return found
 
 

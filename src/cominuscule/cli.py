@@ -4,12 +4,14 @@ Diagram specs look like "B4:oxoo" or "A2xA1:xox": component list, colon,
 then one x/o per node in Bourbaki numbering.  Subcommands: compute (run the
 pipeline), hasse (emit diagrams), sweep (exhaustive verification), table
 (print the classification table).  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, 141 (128 + SIGPIPE) when stdout is closed before the
+output is written, as in `cominuscule table | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -48,7 +50,7 @@ def parse_spec(text: str, numbering: str = "bourbaki") -> tuple[DiagramType, Dec
         raise InvalidDiagramError(
             f"missing ':' in {text!r}; expected e.g. B4:oxoo"
         )
-    raw_pairs: list[tuple[str, int]] = []
+    matches = []
     for part in head.split("x"):
         m = _COMPONENT_RE.fullmatch(part)
         if not m:
@@ -56,7 +58,23 @@ def parse_spec(text: str, numbering: str = "bourbaki") -> tuple[DiagramType, Dec
                 f"bad component {part!r} in {head!r}; expected a family letter"
                 " A-G followed by a rank"
             )
-        raw_pairs.append((m.group(1), int(m.group(2))))
+        matches.append(m)
+
+    # the ranks must add up to the decoration length, so none is read or
+    # built past it, however many digits it was typed with
+    length = len(dec_text)
+    digits = [m.group(2).lstrip("0") or "0" for m in matches]
+    if any(len(d) > len(str(length)) for d in digits):
+        raise InvalidDiagramError(
+            f"decoration {dec_text!r} has length {length}, too short for {head}"
+        )
+    raw_pairs = [(m.group(1), int(d)) for m, d in zip(matches, digits)]
+    total = sum(rank for _, rank in raw_pairs)
+    if total > length:
+        raise InvalidDiagramError(
+            f"decoration {dec_text!r} has length {length},"
+            f" expected {total} for {head}"
+        )
 
     comps: list[Component] = []
     perms: list[tuple[int, ...]] = []
@@ -279,10 +297,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CominusculeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit
+        # does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -9,8 +9,23 @@ agreement is meaningful.
 
 Many inputs share an output diagram, so one sweep keeps the pipeline's image
 of each output diagram it has checked for idempotence and runs the pipeline
-on a given output once.  Only images that came out without an error are
-kept, and the memo lives for one `sweep` call.
+on a given output once.
+
+Many inputs of one type also share a box, the set of top-grade roots, and
+everything from the box on depends on the box alone: both subsystem routes
+read only the root system and the box, and `decorated_diagram` reads grades
+only as "grade > 0" on positive simple members, which under the grade
+trichotomy means "in the box".  So the sweep also keeps, per (type, box),
+the subsystem's members, its decorated diagram and its classification, and
+runs the two routes, their comparison and the recognition once per box.  A
+later input with that box still rebuilds its own subsystem from the members,
+so the trichotomy is checked on its own grades and the compact dichotomy
+runs on a subsystem of its own grading; every check that depends on the
+decoration runs on every input.
+
+Both memos keep only results that came out without an error, so a failing
+output or box fails again on every input that has it, and both live for one
+`sweep` call.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from .hasse import flag_hasse, highest_component
 from .rootsys import DiagramType, Root, _canonical_families, diagram_type
 from .subsystem import (
     DecoratedDiagram,
+    _make_subsystem,
     decorated_diagram,
     direct_subsystem,
     generate_subsystem,
@@ -266,6 +282,10 @@ def _root_list(roots: Iterable[Root]) -> str:
 
 
 Images = dict[tuple[DiagramType, Decoration], DecoratedDiagram]
+Boxes = dict[
+    tuple[DiagramType, tuple[int, ...]],
+    tuple[frozenset[int], DecoratedDiagram, tuple[CominusculeId, ...]],
+]
 
 
 def _check_input(
@@ -273,20 +293,23 @@ def _check_input(
     decoration: Decoration,
     problems: list[Mismatch],
     images: Images,
+    boxes: Boxes,
 ) -> None:
     """Run every check on one input, appending what fails to `problems`.
 
     A stage failing with a CominusculeError is a mismatch of that stage's
     kind.  Any other exception escaping the checks is recorded as a `crash`
     mismatch; it ends this input's checks, not the sweep.  `images` maps each
-    output diagram already checked for idempotence to its pipeline image.
+    output diagram already checked for idempotence to its pipeline image;
+    `boxes` maps each (type, box) whose subsystem and classification came out
+    clean to its members, decorated diagram and classification.
     """
 
     def fail(kind: str, detail: str) -> None:
         problems.append(Mismatch(str(dtype), str(decoration), kind, detail))
 
     try:
-        _run_checks(dtype, decoration, fail, images)
+        _run_checks(dtype, decoration, fail, images, boxes)
     except Exception as exc:
         tb = exc.__traceback__
         while tb.tb_next is not None:
@@ -301,6 +324,7 @@ def _run_checks(
     decoration: Decoration,
     fail: Callable[[str, str], None],
     images: Images,
+    boxes: Boxes,
 ) -> None:
     try:
         graded = grade_diagram(dtype, decoration)
@@ -308,29 +332,38 @@ def _run_checks(
         fail("grading", str(exc))
         return
 
+    box_key = (dtype, tuple(graded.box_idx))
+    known = boxes.get(box_key)
     try:
-        gen = generate_subsystem(graded)
-        direct = direct_subsystem(graded)
+        if known is None:
+            gen = generate_subsystem(graded)
+            direct = direct_subsystem(graded)
+        else:
+            # the input's own subsystem: its grades, its trichotomy check
+            members, dd, ids = known
+            gen = _make_subsystem(graded, members)
     except CominusculeError as exc:
         fail("subsystem", str(exc))
         return
 
-    if gen.members != direct.members:
-        fail(
-            "oracle",
-            "generated "
-            + _root_list(gen.roots)
-            + " != direct "
-            + _root_list(direct.roots),
-        )
-        return
+    if known is None:
+        if gen.members != direct.members:
+            fail(
+                "oracle",
+                "generated "
+                + _root_list(gen.roots)
+                + " != direct "
+                + _root_list(direct.roots),
+            )
+            return
 
-    try:
-        dd = decorated_diagram(gen)
-        ids = classify_cominuscule(dd)
-    except CominusculeError as exc:
-        fail("classify", str(exc))
-        return
+        try:
+            dd = decorated_diagram(gen)
+            ids = classify_cominuscule(dd)
+        except CominusculeError as exc:
+            fail("classify", str(exc))
+            return
+        boxes[box_key] = (gen.members, dd, ids)
 
     expected = expected_answer(dtype, decoration)
     got_keys = tuple(c.key() for c in ids)
@@ -421,6 +454,7 @@ def sweep(max_rank: int = 8) -> SweepReport:
     total = passed = 0
     problems: list[Mismatch] = []
     images: Images = {}
+    boxes: Boxes = {}
     for dtype in types:
         rank = dtype.total_rank
         for bits in range(1, 1 << rank):
@@ -429,7 +463,7 @@ def sweep(max_rank: int = 8) -> SweepReport:
             )
             total += 1
             before = len(problems)
-            _check_input(dtype, decoration, problems, images)
+            _check_input(dtype, decoration, problems, images, boxes)
             if len(problems) == before:
                 passed += 1
     return SweepReport(

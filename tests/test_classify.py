@@ -1,5 +1,6 @@
 """Cartan matrix recognition and the table of cominuscule varieties."""
 
+import gc
 import random
 from collections import Counter
 
@@ -197,6 +198,20 @@ def test_labelings_expose_automorphisms():
     assert len(labelings) == 1
     ((fam, rank, labelings),) = recognize_labelings(component_cartan("F", 4))
     assert len(labelings) == 1
+
+
+def test_recognition_leaves_no_reference_cycles():
+    # a self-referencing closure would leave a function <-> cell cycle per
+    # call for the cyclic collector
+    cartan = component_cartan("D", 4)
+    gc.collect()
+    gc.disable()
+    try:
+        ((_, _, labelings),) = recognize_labelings(cartan)
+        assert len(labelings) == 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- rejects

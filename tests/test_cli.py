@@ -1,6 +1,7 @@
 """Command-line interface: spec parsing, rendering, subcommands, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -198,6 +199,47 @@ def test_oversized_spec_exits_2_before_building(monkeypatch, capsys):
     assert str(rootsys.MAX_ROOTS) in err
 
 
+@pytest.mark.parametrize(
+    "spec,shown",
+    [
+        # int() overflows the C index: an OverflowError traceback before
+        ("A99999999999999999999:x", "A99999999999999999999"),
+        # past Python's 4300-digit int limit: a ValueError traceback before
+        ("A" + "9" * 5000 + ":x", "A9999999999"),
+        # normalize_component built tuple(range(rank)), 130 MB, before
+        ("A3000000:x", "A3000000"),
+    ],
+    ids=["overflow", "5000-digits", "3000000"],
+)
+@pytest.mark.parametrize("command", ["compute", "hasse"])
+def test_rank_past_the_decoration_exits_2_unread(monkeypatch, capsys, command, spec, shown):
+    import cominuscule.cli as cli
+
+    real, ranks = cli.normalize_component, []
+
+    def recording(family, rank):
+        ranks.append(rank)
+        return real(family, rank)
+
+    monkeypatch.setattr(cli, "normalize_component", recording)
+    assert main([command, spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: decoration 'x' has length 1, too short for " + shown)
+    assert captured.err.count("\n") == 1
+    assert ranks == []
+
+    # a rank sum past the decoration length is refused before any component
+    # is built; each rank that is read is at most the decoration length
+    assert main([command, "A2xA2xA3:xoxox"]) == 2
+    assert capsys.readouterr().err == (
+        "error: decoration 'xoxox' has length 5, expected 7 for A2xA2xA3\n"
+    )
+    assert main([command, "A2xA3:xoxox"]) == 0
+    capsys.readouterr()
+    assert ranks == [2, 3]
+
+
 def test_hasse_default_is_full_text(capsys):
     assert main(["hasse", "G2:xo"]) == 0
     out = capsys.readouterr().out
@@ -313,6 +355,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "projective space P^2" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table"], ["compute", "E6:xooooo", "--json"]],
+    ids=["table", "compute-json"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # the read end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cominuscule.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_pipeline_imports_no_numpy():

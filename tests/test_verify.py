@@ -6,14 +6,17 @@ import pytest
 
 import cominuscule.verify as verify
 from cominuscule import (
+    ClassificationError,
     Decoration,
     DecorationError,
     InvalidDiagramError,
     associated_diagram,
     classify_cominuscule,
     cominuscule_id,
+    decorated_diagram,
     diagram_type,
     expected_answer,
+    generate_subsystem,
     grade_diagram,
     sweep,
     sweep_inputs,
@@ -317,3 +320,112 @@ def test_sweep_grades_each_input_and_each_image_once(monkeypatch):
     report = sweep(6)
     assert report.ok
     assert len(calls) <= report.total + distinct_images
+
+
+# ------------------------------------------------------------- the box memo
+
+
+def _decorations(dtype):
+    rank = dtype.total_rank
+    for bits in range(1, 1 << rank):
+        yield Decoration(tuple(bool(bits >> i & 1) for i in range(rank)))
+
+
+def _by_box(max_rank):
+    """(dtype, box_idx) -> the pipeline's results on each input with that box,
+    every input run fresh."""
+    groups = {}
+    for dtype in sweep_inputs(max_rank):
+        for dec in _decorations(dtype):
+            graded = grade_diagram(dtype, dec)
+            sub = generate_subsystem(graded)
+            dd = decorated_diagram(sub)
+            keys = tuple(c.key() for c in classify_cominuscule(dd))
+            result = (sub.members, dd.dtype, dd.decoration, dd.node_embedding, keys)
+            groups.setdefault((dtype, tuple(graded.box_idx)), []).append(result)
+    return groups
+
+
+def test_the_box_determines_everything_the_memo_keeps():
+    groups = _by_box(7)
+    assert sum(map(len, groups.values())) == 1180
+    assert len(groups) == 221
+    for results in groups.values():
+        assert all(r == results[0] for r in results)
+
+
+def _count_direct(monkeypatch, fail_on=None):
+    """Wrap the sweep's direct_subsystem; return the list of boxes it ran on.
+
+    With fail_on=(dtype, box_idx), a call on that box raises a
+    ClassificationError.
+    """
+    real = verify.direct_subsystem
+    calls = []
+
+    def counting(graded):
+        key = (graded.rs.dtype, tuple(graded.box_idx))
+        calls.append(key)
+        if key == fail_on:
+            raise ClassificationError(f"box {key[1]} refused")
+        return real(graded)
+
+    monkeypatch.setattr(verify, "direct_subsystem", counting)
+    return calls
+
+
+def test_sweep_runs_the_subsystem_routes_once_per_box(monkeypatch):
+    boxes = set(_by_box(6))
+    assert len(boxes) == 150
+    calls = _count_direct(monkeypatch)
+    assert sweep(6).ok
+    assert len(calls) == len(set(calls)) == 150
+    assert set(calls) == boxes
+
+    # the memo does not outlive a call
+    calls.clear()
+    assert sweep(6).ok
+    assert len(calls) == 150
+
+
+def test_box_memo_still_checks_each_input(monkeypatch):
+    a4 = diagram_type(("A", 4))
+    first, second = (Decoration.from_string(d) for d in ("xoox", "xxox"))
+    box_of = {d: grade_diagram(a4, d).box_idx for d in (first, second)}
+    assert box_of[first] == box_of[second]
+
+    real = verify.expected_answer
+
+    def wrong_for_second(dtype, decoration):
+        if (dtype, decoration) == (a4, second):
+            return verify.ExpectedResult(
+                dtype, decoration, (cominuscule_id("A", 2, 1),), "wrong"
+            )
+        return real(dtype, decoration)
+
+    monkeypatch.setattr(verify, "expected_answer", wrong_for_second)
+    calls = _count_direct(monkeypatch)
+    report = sweep(4)
+    # A4:xxox comes after A4:xoox, so its subsystem came from the memo
+    assert calls.count((a4, tuple(box_of[second]))) == 1
+    assert [(m.dtype, m.decoration, m.kind) for m in report.mismatches] == [
+        ("A4", "xxox", "expected-answer")
+    ]
+
+
+def test_box_memo_keeps_no_failed_box(monkeypatch):
+    a4 = diagram_type(("A", 4))
+    box = tuple(grade_diagram(a4, Decoration.from_string("xoox")).box_idx)
+    sharing = sorted(
+        str(d) for d in _decorations(a4) if tuple(grade_diagram(a4, d).box_idx) == box
+    )
+    assert len(sharing) == 4  # every decoration crossing nodes 1 and 4
+
+    calls = _count_direct(monkeypatch, fail_on=(a4, box))
+    report = sweep(4)
+    # a failed box is not kept: each input with it runs the routes again
+    assert calls.count((a4, box)) == len(sharing)
+    assert {m.kind for m in report.mismatches} == {"subsystem"}
+    assert sorted(m.decoration for m in report.mismatches) == sharing
+    assert {m.dtype for m in report.mismatches} == {"A4"}
+    assert report.failed == len(sharing)
