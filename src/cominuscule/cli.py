@@ -206,9 +206,11 @@ def cmd_hasse(args: argparse.Namespace) -> int:
         graded = GradedRootSystem(rs, decoration, allow_point_factors=True)
         h = flag_hasse(graded)
         if args.which == "box":
+            # a point factor has no box; its highest root's piece is all of it
             union: set = set()
-            for part in highest_component(h, graded):
-                union |= part
+            for ci, part in enumerate(highest_component(h, graded)):
+                if ci not in graded.point_components:
+                    union |= part
             h = restrict(h, frozenset(union))
     data = export(h, args.format)
     if args.output:

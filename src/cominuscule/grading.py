@@ -9,7 +9,6 @@ cross contributes nothing and is normally an input error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .errors import DecorationError
 from .rootsys import DiagramType, Root, RootSystem, build_root_system
@@ -48,8 +47,10 @@ class GradedRootSystem:
 
     Per root index it holds the list `grade_of_root`, and the box as the
     ascending list `box_idx`, both computed once here.  The grades of the
-    positive roots are computed and mirrored onto the negatives, and a
-    component's top grade is the grade of its highest root.
+    positive roots are one sum of the crossed nodes' packed columns, read
+    back a byte per root (a build refuses any height above 255, so no byte
+    carries), and are mirrored onto the negatives.  A component's top grade
+    is the grade of its highest root.
     """
 
     def __init__(
@@ -69,9 +70,8 @@ class GradedRootSystem:
 
         crossed = decoration.crossed_nodes()
         half = len(rs.positive_roots)
-        grade = [0] * half
-        for j in crossed:
-            grade = list(map(add, grade, rs.columns[j]))
+        packed = sum([rs.columns[j] for j in crossed])
+        grade = list(packed.to_bytes(half, "little"))
         self.grade_of_root = [-g for g in reversed(grade)] + grade
         self.max_grades = top = tuple(
             sum([r[j] for j in crossed]) for r in rs.highest_roots

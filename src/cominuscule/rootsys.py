@@ -230,8 +230,12 @@ class RootSystem:
     every root plus a simple root, has all its digits in -(h+1)..h+1, so its
     key is exact and `key_index` (key -> root index) looks it up.
     `_refl[a][b]` is the index of the reflection of root b in root a, and
-    `pair(b, a)` = <root_b, root_a-check>.  `columns[j]` lists coefficient j
-    of each positive root.
+    `pair(b, a)` = <root_b, root_a-check>.  `columns[j]` packs coefficient j
+    of every positive root into one int, positive root t's coefficient in
+    byte t (little-endian), so a sum of columns adds the coefficients of all
+    positive roots at once.  No byte of such a sum carries: it is at most the
+    height of a root, and `_build` refuses a type whose highest root reaches
+    height 256.
 
     Coefficient tuples are the API edge: `roots`, `positive_roots`,
     `highest_roots` and `simple_roots`.
@@ -258,7 +262,7 @@ class RootSystem:
         )
 
         self.positive_roots = pos = tuple(sorted(positive))
-        self.columns = tuple(zip(*pos))
+        self.columns = tuple(int.from_bytes(bytes(c), "little") for c in zip(*pos))
         half = len(pos)
         self.roots = roots = tuple(tuple(-c for c in r) for r in reversed(pos)) + pos
         index = {r: i for i, r in enumerate(roots)}
@@ -307,6 +311,14 @@ def _build(dtype: DiagramType) -> RootSystem:
         raise InvalidDiagramError(
             f"{dtype} has {sum(counts)} roots, over the limit of {MAX_ROOTS}"
         )
+    # a grade is one byte of a sum of packed columns, so it must stay below
+    # 256; the highest root has height |roots| / rank - 1 (the Coxeter number
+    # less one), and the closure below confirms it
+    top = max(count // c.rank - 1 for c, count in zip(dtype.components, counts))
+    if top > 255:
+        raise InvalidDiagramError(
+            f"{dtype} has a root of height {top}, over the limit of 255"
+        )
     total = dtype.total_rank
     cartan_rows = [[0] * total for _ in range(total)]
     positive: list[Root] = []
@@ -335,11 +347,14 @@ def _build(dtype: DiagramType) -> RootSystem:
         positive.extend(map(pad, local))
         steps.extend((pad(x), start + i, pad(v)) for x, i, v in local_steps)
         # the highest root of an irreducible system is its unique root of
-        # greatest height
+        # greatest height, which is |roots| / rank - 1
         heights = [sum(r) for r in local]
-        if heights.count(max(heights)) != 1:
-            raise InvalidDiagramError(f"component {comp} has no unique highest root")
-        highest.append(pad(local[heights.index(max(heights))]))
+        h = count // comp.rank - 1
+        if heights.count(h) != 1 or max(heights) != h:
+            raise InvalidDiagramError(
+                f"component {comp} has no unique highest root of height {h}"
+            )
+        highest.append(pad(local[heights.index(h)]))
 
     return RootSystem(
         dtype,

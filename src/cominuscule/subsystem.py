@@ -15,7 +15,7 @@ from functools import cached_property
 from .classify import recognize_labelings
 from .errors import ClassificationError
 from .grading import Decoration, GradedRootSystem
-from .rootsys import Component, DiagramType, Root
+from .rootsys import Component, DiagramType, Root, RootSystem
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,22 @@ class Subsystem:
 
     @cached_property
     def _simple_idx(self) -> list[int]:
-        # positives ordered by (component, root); the simple ones are those no
-        # sum of two positive members lands on
+        # positives ordered by (component, root).  A non-simple positive root
+        # is a positive root plus a simple one (Humphreys, Introduction to Lie
+        # Algebras, 10.2), and root order is lexicographic, which extends the
+        # coefficientwise order, so that simple root is met first: a member
+        # is simple when no simple root kept so far leaves a positive member
         rs = self.graded.rs
         half = len(rs.positive_roots)
-        comp = rs.component_of_root
+        comp, keys = rs.component_of_root, rs.keys
         pos = sorted((i for i in self.members if i >= half), key=lambda i: (comp[i], i))
-        keys = [rs.keys[i] for i in pos]
-        sums = {a + b for a in keys for b in keys}
-        return [i for i, k in zip(pos, keys) if k not in sums]
+        positive = {keys[i] for i in pos}
+        simple: list[int] = []
+        for i in pos:
+            k = keys[i]
+            if all(k - keys[s] not in positive for s in simple):
+                simple.append(i)
+        return simple
 
     @cached_property
     def simples(self) -> tuple[Root, ...]:
@@ -158,16 +165,27 @@ def decorated_diagram(sub: Subsystem) -> DecoratedDiagram:
     )
 
 
+def _fixed_idx(rs: RootSystem, members: frozenset[int]) -> list[int]:
+    """Ambient root indices fixed by the reflection in every member.
+
+    It reads no grades, so it depends on the root system and the members
+    alone.
+    """
+    half = len(rs.positive_roots)
+    # b is fixed exactly when -b is, and s_(-a) = s_a: search the positive
+    # half under the positive members, then mirror
+    found = list(range(half, 2 * half))
+    for a in members:
+        if a >= half:
+            row = rs._refl[a]
+            found = [b for b in found if row[b] == b]
+    return [2 * half - 1 - b for b in reversed(found)] + found
+
+
 def perpendicular_idx(sub: Subsystem) -> list[int]:
     """Ambient grade-0 root indices fixed by the reflection in every member."""
     grade = sub.graded.grade_of_root
-    half = len(grade) // 2
-    # b is fixed exactly when -b is: search the positive half, then mirror
-    found = [b for b in range(half, 2 * half) if grade[b] == 0]
-    for a in sub.members:
-        row = sub.graded.rs._refl[a]
-        found = [b for b in found if row[b] == b]
-    return [2 * half - 1 - b for b in reversed(found)] + found
+    return [b for b in _fixed_idx(sub.graded.rs, sub.members) if grade[b] == 0]
 
 
 def perpendicular_compacts(sub: Subsystem) -> frozenset[Root]:

@@ -15,13 +15,20 @@ Many inputs of one type also share a box, the set of top-grade roots, and
 everything from the box on depends on the box alone: both subsystem routes
 read only the root system and the box, and `decorated_diagram` reads grades
 only as "grade > 0" on positive simple members, which under the grade
-trichotomy means "in the box".  So the sweep also keeps, per (type, box),
-the subsystem's members, its decorated diagram and its classification, and
-runs the two routes, their comparison and the recognition once per box.  A
-later input with that box still rebuilds its own subsystem from the members,
-so the trichotomy is checked on its own grades and the compact dichotomy
-runs on a subsystem of its own grading; every check that depends on the
-decoration runs on every input.
+trichotomy means "in the box".  So the sweep also keeps, per (type, box):
+- the subsystem's members, its decorated diagram and its classification;
+- the fixed set, the roots fixed by the reflection in every member, which
+  `_fixed_idx` computes from the root system and the members without
+  reading a grade;
+- the idempotence verdict, which reads only the decorated diagram.  It is
+  kept as the entry itself: a box is stored only once its output diagram
+  came back unchanged.
+The two routes, their comparison, the recognition, the fixed set and the
+idempotence check run once per box.  A later input with that box still
+rebuilds its own subsystem from the members, so the trichotomy is checked on
+its own grades, and it takes the grade-0 roots of the fixed set on its own
+grades for the compact dichotomy; every check that depends on the decoration
+runs on every input.
 
 Both memos keep only results that came out without an error, so a failing
 output or box fails again on every input that has it, and both live for one
@@ -43,11 +50,11 @@ from .hasse import flag_hasse, highest_component
 from .rootsys import DiagramType, Root, _canonical_families, diagram_type
 from .subsystem import (
     DecoratedDiagram,
+    _fixed_idx,
     _make_subsystem,
     decorated_diagram,
     direct_subsystem,
     generate_subsystem,
-    perpendicular_idx,
 )
 
 
@@ -284,7 +291,7 @@ def _root_list(roots: Iterable[Root]) -> str:
 Images = dict[tuple[DiagramType, Decoration], DecoratedDiagram]
 Boxes = dict[
     tuple[DiagramType, tuple[int, ...]],
-    tuple[frozenset[int], DecoratedDiagram, tuple[CominusculeId, ...]],
+    tuple[frozenset[int], DecoratedDiagram, tuple[CominusculeId, ...], list[int]],
 ]
 
 
@@ -301,8 +308,9 @@ def _check_input(
     kind.  Any other exception escaping the checks is recorded as a `crash`
     mismatch; it ends this input's checks, not the sweep.  `images` maps each
     output diagram already checked for idempotence to its pipeline image;
-    `boxes` maps each (type, box) whose subsystem and classification came out
-    clean to its members, decorated diagram and classification.
+    `boxes` maps each (type, box) whose subsystem, classification and
+    idempotence came out clean to its members, decorated diagram,
+    classification and the root indices its reflections all fix.
     """
 
     def fail(kind: str, detail: str) -> None:
@@ -340,7 +348,7 @@ def _run_checks(
             direct = direct_subsystem(graded)
         else:
             # the input's own subsystem: its grades, its trichotomy check
-            members, dd, ids = known
+            members, dd, ids, fixed = known
             gen = _make_subsystem(graded, members)
     except CominusculeError as exc:
         fail("subsystem", str(exc))
@@ -363,7 +371,7 @@ def _run_checks(
         except CominusculeError as exc:
             fail("classify", str(exc))
             return
-        boxes[box_key] = (gen.members, dd, ids)
+        fixed = _fixed_idx(graded.rs, gen.members)
 
     expected = expected_answer(dtype, decoration)
     got_keys = tuple(c.key() for c in ids)
@@ -379,17 +387,16 @@ def _run_checks(
         fail("component-count", f"{len(dd.dtype.components)} components out")
 
     # compact dichotomy: grade-0 roots split into members of the subsystem
-    # and roots perpendicular to all of it
+    # and roots perpendicular to all of it, the grade-0 roots of `fixed`
     grade = graded.grade_of_root
-    perp = set(perpendicular_idx(gen))
+    perp = {b for b in fixed if grade[b] == 0}
     in_sub = {i for i in gen.members if grade[i] == 0}
     if len(perp | in_sub) != grade.count(0) or perp & in_sub:
         stray = {i for i, g in enumerate(grade) if g == 0} - perp - in_sub
         fail("compact-dichotomy", _root_list(graded.rs.roots[i] for i in stray))
 
-    boxes = box(graded)
     high = highest_component(flag_hasse(graded), graded)
-    for b, h in zip(boxes, high):
+    for b, h in zip(box(graded), high):
         if b != h:
             fail(
                 "box-vs-hasse",
@@ -401,6 +408,8 @@ def _run_checks(
     if total_dim != box_size:
         fail("dimension", f"classified dim {total_dim} != |box| {box_size}")
 
+    if known is not None:
+        return  # a kept box passed the idempotence check
     key = (dd.dtype, dd.decoration)
     dd2 = images.get(key)
     if dd2 is None:
@@ -413,6 +422,8 @@ def _run_checks(
         images[key] = dd2
     if (dd2.dtype, dd2.decoration) != key:
         fail("idempotence", f"{dd} maps to {dd2}")
+        return
+    boxes[box_key] = (gen.members, dd, ids, fixed)
 
 
 # The most inputs one sweep runs.  Each type of rank r has 2^r - 1

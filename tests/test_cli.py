@@ -255,6 +255,15 @@ def test_hasse_box_restriction(capsys):
     assert len(doc["edges"]) == 6
 
 
+@pytest.mark.parametrize("spec", ["A2xA2:xooo", "A2xA2:oooo", "D5xA3:xoooxoxo"])
+def test_hasse_box_leaves_out_point_factors(spec, capsys):
+    # a component with no cross has no box, so it adds no node
+    assert main(["compute", spec, "--json", "--allow-point-factors"]) == 0
+    box_size = json.loads(capsys.readouterr().out)["box_size"]
+    assert main(["hasse", spec, "--box", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["nodes"]) == box_size
+
+
 def test_hasse_flag_erases_crossed_labels(capsys):
     assert main(["hasse", "G2:ox", "--flag", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

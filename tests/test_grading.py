@@ -12,6 +12,7 @@ from cominuscule import (
     build_root_system,
     diagram_type,
     grade_diagram,
+    sweep_inputs,
 )
 
 
@@ -149,3 +150,46 @@ def test_max_grade_at_least_one_when_crossed():
         dec = Decoration(tuple(j == i for j in range(7)))
         g = grade_diagram(rs.dtype, dec)
         assert g.max_grades[0] >= 1
+
+
+# ------------------------------------------------------------ packed grades
+
+
+def _all_decorations(dtype):
+    rank = dtype.total_rank
+    for bits in itertools.product((False, True), repeat=rank):
+        yield Decoration(bits)
+
+
+def _assert_grades_are_coefficient_sums(dtype, decoration):
+    g = grade_diagram(dtype, decoration, allow_point_factors=True)
+    crossed = decoration.crossed_nodes()
+    want = [sum(r[j] for j in crossed) for r in g.rs.roots]
+    assert g.grade_of_root == want
+    # the box: positive roots at their component's top grade, if above 0
+    top = [sum(r[j] for j in crossed) for r in g.rs.highest_roots]
+    comp = g.rs.component_of_root
+    half = len(g.rs.positive_roots)
+    assert g.box_idx == [
+        i for i in range(half, 2 * half) if 0 < want[i] == top[comp[i]]
+    ]
+
+
+def test_packed_grades_on_every_sweep_input():
+    count = 0
+    for dtype in sweep_inputs(7):
+        for dec in _all_decorations(dtype):
+            if any(dec.crossed):
+                _assert_grades_are_coefficient_sums(dtype, dec)
+                count += 1
+    assert count == 1180
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[("A", 1), ("G", 2)], [("B", 3), ("A", 2)], [("D", 4), ("A", 1), ("A", 1)]],
+)
+def test_packed_grades_on_products(pairs):
+    dtype = diagram_type(*pairs)
+    for dec in _all_decorations(dtype):
+        _assert_grades_are_coefficient_sums(dtype, dec)

@@ -11,6 +11,7 @@ from cominuscule import (
     diagram_type,
     normalize_component,
 )
+from cominuscule import rootsys
 from cominuscule.rootsys import MAX_ROOTS, _build, component_cartan
 
 from conftest import coefficient_set
@@ -267,4 +268,39 @@ def test_root_count_cap_is_checked_before_building():
     assert 2 * positive_count("A", 40) <= MAX_ROOTS
     for pairs, count in ([[("A", 40), ("A", 40)], 3280], [[("A", 100)], 10100]):
         with pytest.raises(InvalidDiagramError, match=f"{count} roots.*{MAX_ROOTS}"):
+            _build.__wrapped__(diagram_type(*pairs))
+
+
+# ------------------------------------------------------- packed columns
+
+
+@pytest.mark.parametrize(
+    "family,rank,height", [("A", 44, 44), ("B", 31, 61), ("C", 31, 61), ("D", 32, 61)]
+)
+def test_largest_types_under_the_root_cap_have_height_at_most_61(family, rank, height):
+    # the next rank of each family is over the cap
+    with pytest.raises(InvalidDiagramError, match="over the limit"):
+        _build.__wrapped__(diagram_type((family, rank + 1)))
+    rs = _build.__wrapped__(diagram_type((family, rank)))
+    assert max(sum(r) for r in rs.highest_roots) == height <= 61
+    # crossing every node grades each positive root by its height, one byte
+    # per root
+    half = len(rs.positive_roots)
+    heights = list(sum(rs.columns).to_bytes(half, "little"))
+    assert heights == [sum(r) for r in rs.positive_roots]
+
+
+def test_height_guard_fires_before_building(monkeypatch):
+    monkeypatch.setattr(rootsys, "MAX_ROOTS", 10**6)
+
+    def no_closure(cartan):
+        raise AssertionError(f"closing a rank-{len(cartan)} component")
+
+    monkeypatch.setattr(rootsys, "_close_simples", no_closure)
+    for pairs, height in (
+        ([("A", 256)], 256),
+        ([("B", 129)], 257),
+        ([("A", 1), ("D", 130)], 257),
+    ):
+        with pytest.raises(InvalidDiagramError, match=f"height {height}, over.* 255"):
             _build.__wrapped__(diagram_type(*pairs))

@@ -6,6 +6,7 @@ exhaustive agreement over small products is the main correctness check here.
 
 import dataclasses
 import itertools
+from operator import add
 
 import pytest
 
@@ -20,6 +21,7 @@ from cominuscule import (
     generate_subsystem,
     grade_diagram,
     perpendicular_compacts,
+    sweep_inputs,
 )
 from cominuscule.subsystem import _make_subsystem
 
@@ -322,3 +324,33 @@ def test_intermediate_grade_is_rejected():
     assert graded.grade_of_root[alpha2] == 1
     with pytest.raises(ClassificationError):
         _make_subsystem(graded, {alpha2})
+
+
+# ------------------------------------------------------------ simple roots
+
+
+def _pairwise_simple_idx(sub):
+    """The simple members by definition: positive members that are not a sum
+    of two positive members, ordered by (component, root)."""
+    rs = sub.graded.rs
+    half = len(rs.positive_roots)
+    comp = rs.component_of_root
+    pos = sorted((i for i in sub.members if i >= half), key=lambda i: (comp[i], i))
+    sums = {tuple(map(add, rs.roots[a], rs.roots[b])) for a in pos for b in pos}
+    return [i for i in pos if rs.roots[i] not in sums]
+
+
+def test_simple_roots_match_the_pairwise_sum_definition():
+    seen = set()
+    for dtype in sweep_inputs(8):
+        rank = dtype.total_rank
+        for bits in range(1, 1 << rank):
+            graded = grade_diagram(
+                dtype, Decoration(tuple(bool(bits >> i & 1) for i in range(rank)))
+            )
+            key = (dtype, tuple(graded.box_idx))
+            if key not in seen:
+                seen.add(key)
+                sub = generate_subsystem(graded)
+                assert sub._simple_idx == _pairwise_simple_idx(sub)
+    assert len(seen) == 305

@@ -1,5 +1,6 @@
 """Closed-form expected answers and the exhaustive sweep harness."""
 
+import dataclasses
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from cominuscule import (
     sweep,
     sweep_inputs,
 )
+from cominuscule.subsystem import perpendicular_idx
 
 
 def expect(type_pair, dec):
@@ -314,6 +316,38 @@ def test_idempotence_memo_hides_no_failure(monkeypatch):
     assert len(calls) == report.total + len(set(images.values()))
 
 
+def test_box_memo_keeps_no_box_whose_image_moves(monkeypatch):
+    images = _images(4)
+    line = (diagram_type(("A", 1)), Decoration.from_string("x"))
+    onto_line = sorted(k for k, image in images.items() if image == line)
+    boxes = {
+        (dtype, tuple(grade_diagram(dtype, dec).box_idx))
+        for dtype in sweep_inputs(4)
+        for dec in _decorations(dtype)
+        if (str(dtype), str(dec)) in onto_line
+    }
+    # some inputs mapping onto A1:x share a box with an earlier one
+    assert len(boxes) < len(onto_line)
+
+    # the pipeline maps A1:x to itself the first time, then to A1:o
+    real = verify.decorated_diagram
+    runs = []
+
+    def moving(sub):
+        dd = real(sub)
+        if (sub.graded.rs.dtype, sub.graded.decoration) == line:
+            runs.append(dd)
+            if len(runs) > 1:
+                return dataclasses.replace(dd, decoration=Decoration((False,)))
+        return dd
+
+    monkeypatch.setattr(verify, "decorated_diagram", moving)
+    report = sweep(4)
+    # a box whose image failed is not kept, so every input onto A1:x fails
+    assert sorted((m.dtype, m.decoration) for m in report.mismatches) == onto_line
+    assert {m.detail for m in report.mismatches} == {"A1:x maps to A1:o"}
+
+
 def test_sweep_grades_each_input_and_each_image_once(monkeypatch):
     distinct_images = len(set(_images(6).values()))
     calls = _count_gradings(monkeypatch)
@@ -429,3 +463,44 @@ def test_box_memo_keeps_no_failed_box(monkeypatch):
     assert sorted(m.decoration for m in report.mismatches) == sharing
     assert {m.dtype for m in report.mismatches} == {"A4"}
     assert report.failed == len(sharing)
+
+
+def _record_fixed(monkeypatch):
+    """Wrap the sweep's fixed-set helper; return (dtype, members, result)
+    per call."""
+    real = verify._fixed_idx
+    calls = []
+
+    def recording(rs, members):
+        fixed = real(rs, members)
+        calls.append((rs.dtype, members, fixed))
+        return fixed
+
+    monkeypatch.setattr(verify, "_fixed_idx", recording)
+    return calls
+
+
+def test_sweep_computes_the_fixed_set_once_per_box(monkeypatch):
+    calls = _record_fixed(monkeypatch)
+    boxes = _count_direct(monkeypatch)
+    assert sweep(6).ok
+    # 150 boxes, some of which close to the same members
+    assert len(calls) == len(boxes) == len(set(boxes)) == 150
+
+
+def test_memo_fixed_set_filtered_by_grade_is_each_inputs_perpendicular_set(
+    monkeypatch,
+):
+    calls = _record_fixed(monkeypatch)
+    assert sweep(7).ok
+    fixed_of = {(d, m): fixed for d, m, fixed in calls}
+    count = 0
+    for dtype in sweep_inputs(7):
+        for dec in _decorations(dtype):
+            graded = grade_diagram(dtype, dec)
+            sub = generate_subsystem(graded)
+            grade = graded.grade_of_root
+            kept = fixed_of[dtype, sub.members]
+            assert [b for b in kept if grade[b] == 0] == perpendicular_idx(sub)
+            count += 1
+    assert count == 1180
