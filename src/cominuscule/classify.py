@@ -10,9 +10,8 @@ decorated diagram against the table of irreducible cominuscule varieties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     ClassificationError,
@@ -149,8 +148,7 @@ def recognize_labelings(
 # The cominuscule table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CominusculeId:
+class CominusculeId(NamedTuple):
     """One table row: which cominuscule variety a crossed component is.
 
     crossed_node is the canonical representative under diagram automorphisms;

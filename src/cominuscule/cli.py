@@ -14,7 +14,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import asdict
 
 from .classify import CominusculeId, classify_cominuscule
 from .errors import CominusculeError, InvalidDiagramError
@@ -147,8 +146,6 @@ def _add_spec(p: argparse.ArgumentParser) -> None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     """Build one result record and print it as JSON or as text."""
-    import json as _json
-
     dtype, decoration = parse_spec(args.spec, args.numbering)
     graded = GradedRootSystem(
         build_root_system(dtype), decoration,
@@ -171,13 +168,15 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 "decoration": str(dd.decoration),
                 "diagram": render_diagram(dd.dtype, dd.decoration),
             },
-            components=[asdict(c) for c in classify_cominuscule(dd)],
+            components=[c._asdict() for c in classify_cominuscule(dd)],
             box_size=len(box_union(graded)),
             node_embedding=[list(r) for r in dd.node_embedding],
         )
 
     if args.json:
-        print(_json.dumps(record, indent=2))
+        import json
+
+        print(json.dumps(record, indent=2))
         return 0
     print(f"input: {render_spec(dtype, decoration)}")
     assoc = record["associated"]

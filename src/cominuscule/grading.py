@@ -8,14 +8,13 @@ cross contributes nothing and is normally an input error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DecorationError
 from .rootsys import DiagramType, Root, RootSystem, build_root_system
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(NamedTuple):
     """Which nodes of a diagram are crossed, as a 0/1-style boolean tuple."""
 
     crossed: tuple[bool, ...]

@@ -8,16 +8,14 @@ root recovers that component's box.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .grading import GradedRootSystem
 from .rootsys import DiagramType, Root, RootSystem, build_root_system
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     """nodes: (root, height) sorted by (height, root); edges: (from, to, label).
 
     Edge labels are 1-based global simple-root indices.
@@ -103,11 +101,13 @@ def _coeffs(root: Root) -> str:
 def export(h: HasseDiagram, format: str) -> bytes:
     """Serialize a diagram; identical inputs give byte-identical output."""
     if format == "json":
+        import json
+
         doc = {
             "nodes": [{"coeffs": list(r), "grade": g} for r, g in h.nodes],
             "edges": [{"from": a, "to": b, "label": lab} for a, b, lab in h.edges],
         }
-        return json.dumps(doc, separators=(",", ":")).encode()
+        return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
     if format == "dot":
         lines = ["digraph hasse {", "rankdir=BT;"]
         by_height: dict[int, list[str]] = {}

@@ -12,7 +12,7 @@ All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
@@ -38,22 +38,26 @@ _RANK_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(namedtuple("Component", "family rank")):
     """One irreducible factor: family letter plus rank."""
 
+    __slots__ = ()
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        bounds = _RANK_BOUNDS.get(self.family)
+    def __new__(cls, family: str, rank: int) -> "Component":
+        bounds = _RANK_BOUNDS.get(family)
         if bounds is None:
-            raise InvalidDiagramError(f"unknown family {self.family!r}")
+            raise InvalidDiagramError(f"unknown family {family!r}")
         lo, hi = bounds
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidDiagramError(
-                f"rank {self.rank} out of range for family {self.family}"
-            )
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidDiagramError(f"rank {rank} out of range for family {family}")
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable) -> "Component":
+        # _replace builds through _make, so a copy is validated too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -81,15 +85,20 @@ def normalize_component(family: str, rank: int) -> tuple[Component, tuple[int, .
     return Component(family, rank), tuple(range(rank))
 
 
-@dataclass(frozen=True)
-class DiagramType:
+class DiagramType(namedtuple("DiagramType", "components")):
     """An ordered product of irreducible components."""
 
+    __slots__ = ()
     components: tuple[Component, ...]
 
-    def __post_init__(self) -> None:
-        if not self.components:
+    def __new__(cls, components: tuple[Component, ...]) -> "DiagramType":
+        if not components:
             raise InvalidDiagramError("diagram must have at least one component")
+        return super().__new__(cls, components)
+
+    @classmethod
+    def _make(cls, iterable) -> "DiagramType":
+        return cls(*iterable)
 
     @property
     def total_rank(self) -> int:

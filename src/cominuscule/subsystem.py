@@ -9,8 +9,8 @@ rest of the package is about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .classify import recognize_labelings
 from .errors import ClassificationError
@@ -18,7 +18,6 @@ from .grading import Decoration, GradedRootSystem
 from .rootsys import Component, DiagramType, Root, RootSystem
 
 
-@dataclass(frozen=True)
 class Subsystem:
     """A reflection-closed set of ambient roots with its induced simple system.
 
@@ -26,11 +25,24 @@ class Subsystem:
     is -t, 0 or t, t the top grade of its component.  `roots` is the same set
     as coefficient tuples.  `roots`, `simples` and `cartan` are derived from
     `members` on first use, so a subsystem whose simple system is never read
-    never pays for it.
+    never pays for it.  Two subsystems are equal when their gradings and
+    members are.
     """
 
-    graded: GradedRootSystem
-    members: frozenset[int] = field(repr=False)
+    def __init__(self, graded: GradedRootSystem, members: frozenset[int]) -> None:
+        self.graded = graded
+        self.members = members
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graded, self.members) == (other.graded, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.graded, self.members))
+
+    def __repr__(self) -> str:
+        return f"Subsystem(graded={self.graded!r})"
 
     @cached_property
     def roots(self) -> frozenset[Root]:
@@ -69,8 +81,7 @@ class Subsystem:
         return tuple(tuple(pair(b, a) for b in s) for a in s)
 
 
-@dataclass(frozen=True)
-class DecoratedDiagram:
+class DecoratedDiagram(NamedTuple):
     """A diagram type with a decoration, plus where its nodes sit upstream.
 
     node_embedding[i] is the ambient root realizing global node i (components
@@ -90,12 +101,17 @@ def _make_subsystem(graded: GradedRootSystem, members: set[int]) -> Subsystem:
     """The subsystem on a set of root indices, checking the grade trichotomy."""
     rs = graded.rs
     grade, top, comp = graded.grade_of_root, graded.max_grades, rs.component_of_root
-    for i in sorted(members):
-        g, t = grade[i], top[comp[i]]
-        if g not in (-t, 0, t):
-            raise ClassificationError(
-                f"root {rs.roots[i]} has grade {g}, outside {{-{t}, 0, {t}}}"
-            )
+    # the error names the smallest bad root, whatever order the set iterates in
+    bad = None
+    for i in members:
+        t = top[comp[i]]
+        if grade[i] not in (-t, 0, t) and (bad is None or i < bad):
+            bad = i
+    if bad is not None:
+        g, t = grade[bad], top[comp[bad]]
+        raise ClassificationError(
+            f"root {rs.roots[bad]} has grade {g}, outside {{-{t}, 0, {t}}}"
+        )
     return Subsystem(graded, frozenset(members))
 
 

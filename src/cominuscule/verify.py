@@ -37,11 +37,9 @@ output or box fails again on every input that has it, and both live for one
 
 from __future__ import annotations
 
-import json
+import os
 import time
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .classify import CominusculeId, classify_cominuscule, cominuscule_id
 from .errors import CominusculeError, InvalidDiagramError
@@ -58,8 +56,7 @@ from .subsystem import (
 )
 
 
-@dataclass(frozen=True)
-class ExpectedResult:
+class ExpectedResult(NamedTuple):
     dtype: DiagramType
     decoration: Decoration
     expected: tuple[CominusculeId, ...]
@@ -235,16 +232,14 @@ def expected_answer(dtype: DiagramType, decoration: Decoration) -> ExpectedResul
 # Sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     dtype: str
     decoration: str
     kind: str
     detail: str
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     total: int
     passed: int
     failed: int
@@ -265,6 +260,8 @@ class SweepReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "total": self.total,
@@ -323,7 +320,7 @@ def _check_input(
         while tb.tb_next is not None:
             tb = tb.tb_next
         code = tb.tb_frame.f_code
-        where = f"{code.co_name}, {Path(code.co_filename).name}:{tb.tb_lineno}"
+        where = f"{code.co_name}, {os.path.basename(code.co_filename)}:{tb.tb_lineno}"
         fail("crash", f"{type(exc).__name__}: {exc} (in {where})")
 
 

@@ -273,7 +273,7 @@ def test_hasse_flag_erases_crossed_labels(capsys):
 def test_hasse_output_file(tmp_path):
     target = tmp_path / "h.json"
     assert main(["hasse", "A1:x", "--format", "json", "-o", str(target)]) == 0
-    assert target.read_bytes() == b'{"nodes":[{"coeffs":[1],"grade":1}],"edges":[]}'
+    assert target.read_bytes() == b'{"nodes":[{"coeffs":[1],"grade":1}],"edges":[]}\n'
 
 
 def test_hasse_unwritable_output_exits_2(tmp_path, capsys):
@@ -403,6 +403,31 @@ def test_pipeline_imports_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "False"
+
+
+def test_import_and_text_compute_load_no_dataclasses_inspect_or_json():
+    # without site, nothing but the package and what it imports is loaded
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    script = (
+        "import os, sys\n"
+        "heavy = {'dataclasses', 'inspect', 'json'}\n"
+        "before = set(sys.modules)\n"
+        "import cominuscule, cominuscule.cli\n"
+        "print(sorted(heavy & set(sys.modules) - before))\n"
+        "sys.stdout.flush()\n"
+        "with open(os.devnull, 'w') as sys.stdout:\n"
+        "    assert cominuscule.cli.main(['compute', 'E6:xooooo']) == 0\n"
+        "print(sorted(heavy & set(sys.modules) - before), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert proc.stderr == "[]\n"
 
 
 def test_compute_leaves_numpy_ma_unimported():

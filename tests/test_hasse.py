@@ -33,7 +33,7 @@ def graded_for(pairs, dec, allow=False):
 
 def test_a1_json_is_byte_exact():
     h = hasse(rs_for(("A", 1)))
-    assert export(h, "json") == b'{"nodes":[{"coeffs":[1],"grade":1}],"edges":[]}'
+    assert export(h, "json") == b'{"nodes":[{"coeffs":[1],"grade":1}],"edges":[]}\n'
 
 
 def test_f4_has_24_positive_roots():

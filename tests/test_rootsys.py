@@ -6,8 +6,11 @@ import pytest
 
 from cominuscule import (
     Component,
+    Decoration,
+    DiagramType,
     InvalidDiagramError,
     build_root_system,
+    cominuscule_id,
     diagram_type,
     normalize_component,
 )
@@ -120,6 +123,25 @@ def test_component_bounds():
             Component(family, rank)
     with pytest.raises(InvalidDiagramError):
         diagram_type()
+
+
+def test_value_types_are_immutable_and_validated():
+    for value, field in [
+        (Component("A", 2), "rank"),
+        (Decoration.from_string("xo"), "crossed"),
+        (cominuscule_id("A", 2, 1), "dimension"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+    with pytest.raises(InvalidDiagramError):
+        Component("Q", 1)
+    with pytest.raises(InvalidDiagramError):
+        DiagramType(())
+    # a copy is validated as a new value is
+    with pytest.raises(InvalidDiagramError):
+        Component("A", 2)._replace(rank=0)
+    with pytest.raises(InvalidDiagramError):
+        diagram_type(("A", 1))._replace(components=())
 
 
 def test_product_structure():

@@ -4,7 +4,6 @@ The two construction routes share nothing but the ambient root system, so
 exhaustive agreement over small products is the main correctness check here.
 """
 
-import dataclasses
 import itertools
 from operator import add
 
@@ -13,6 +12,7 @@ import pytest
 from cominuscule import (
     ClassificationError,
     Decoration,
+    Subsystem,
     associated_diagram,
     box_union,
     decorated_diagram,
@@ -264,7 +264,7 @@ def test_direct_route_simples_after_replace():
         graded = run(pairs, dec)
         ref = generate_subsystem(graded)
         sub = direct_subsystem(graded)
-        copy = dataclasses.replace(sub, members=frozenset(sub.members))
+        copy = Subsystem(sub.graded, frozenset(sub.members))
         assert not {"simples", "cartan"} & vars(copy).keys()
         assert copy.simples == ref.simples
         assert copy.cartan == ref.cartan
@@ -311,7 +311,7 @@ def test_two_crossed_simples_is_rejected():
     doctored = run([("A", 3)], "xoo")
     for i in sub._simple_idx:
         doctored.grade_of_root[i] = 1
-    bad = dataclasses.replace(sub, graded=doctored)
+    bad = Subsystem(doctored, sub.members)
     with pytest.raises(ClassificationError):
         decorated_diagram(bad)
 
@@ -324,6 +324,22 @@ def test_intermediate_grade_is_rejected():
     assert graded.grade_of_root[alpha2] == 1
     with pytest.raises(ClassificationError):
         _make_subsystem(graded, {alpha2})
+
+
+def test_trichotomy_error_names_the_smallest_bad_root():
+    graded = run([("B", 3)], "oxo")
+    top = graded.max_grades[0]
+    grade = graded.grade_of_root
+    bad = [i for i, g in enumerate(grade) if g not in (-top, 0, top)]
+    # two bad roots in a set that iterates the larger one first
+    pairs = ({a, b} for a in bad for b in bad if a < b)
+    members = next(s for s in pairs if next(iter(s)) != min(s))
+    lo = min(members)
+    with pytest.raises(ClassificationError) as info:
+        _make_subsystem(graded, members)
+    assert str(info.value) == (
+        f"root {graded.rs.roots[lo]} has grade {grade[lo]}, outside {{-2, 0, 2}}"
+    )
 
 
 # ------------------------------------------------------------ simple roots

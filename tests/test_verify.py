@@ -1,6 +1,5 @@
 """Closed-form expected answers and the exhaustive sweep harness."""
 
-import dataclasses
 import json
 
 import pytest
@@ -338,7 +337,7 @@ def test_box_memo_keeps_no_box_whose_image_moves(monkeypatch):
         if (sub.graded.rs.dtype, sub.graded.decoration) == line:
             runs.append(dd)
             if len(runs) > 1:
-                return dataclasses.replace(dd, decoration=Decoration((False,)))
+                return dd._replace(decoration=Decoration((False,)))
         return dd
 
     monkeypatch.setattr(verify, "decorated_diagram", moving)
