@@ -284,7 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_hasse)
 
-    p = sub.add_parser("sweep", help="verify the classification exhaustively")
+    p = sub.add_parser(
+        "sweep",
+        help="verify the classification exhaustively",
+        description="The types run in one process per available CPU;"
+        " the report is the same for any number of CPUs.",
+    )
     p.add_argument("--max-rank", type=int, default=8)
     p.add_argument("--json", action="store_true", help="structured report")
     p.set_defaults(func=cmd_sweep)

@@ -31,8 +31,14 @@ grades for the compact dichotomy; every check that depends on the decoration
 runs on every input.
 
 Both memos keep only results that came out without an error, so a failing
-output or box fails again on every input that has it, and both live for one
-`sweep` call.
+output or box fails again on every input that has it.
+
+One `sweep` call deals its types to one process per CPU it may use: it forks
+a child per bin but the first, which it runs itself.  Each process keeps
+both memos for its own bin only.  Inputs of different types share nothing
+but the images memo, which keeps only clean results, so the report is the
+same for any number of processes, except for `elapsed`: the results are
+merged in type order.
 """
 
 from __future__ import annotations
@@ -443,11 +449,138 @@ def sweep_inputs(max_rank: int) -> list[DiagramType]:
     ]
 
 
+# dtype -> (inputs, passed, mismatches) over every decoration of that type
+TypeResults = dict[DiagramType, tuple[int, int, list[Mismatch]]]
+
+
+def _sweep_types(
+    types: Iterable[DiagramType], images: Images, boxes: Boxes, results: TypeResults
+) -> None:
+    """Run every decoration of each type through the checks, into `results`."""
+    for dtype in types:
+        rank = dtype.total_rank
+        problems: list[Mismatch] = []
+        passed = 0
+        for bits in range(1, 1 << rank):
+            decoration = Decoration(
+                tuple(bool(bits >> i & 1) for i in range(rank))
+            )
+            before = len(problems)
+            _check_input(dtype, decoration, problems, images, boxes)
+            if len(problems) == before:
+                passed += 1
+        results[dtype] = ((1 << rank) - 1, passed, problems)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on, 1 where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _deal(types: list[DiagramType], k: int) -> list[list[DiagramType]]:
+    """Deal the types into at most k bins with about equal input counts.
+
+    Largest input count first, each type goes to the bin with the fewest
+    inputs so far.  Each bin keeps the types in `types` order, so one bin is
+    `types` itself.  Without `os.fork` there is one bin.
+    """
+    if not hasattr(os, "fork"):
+        k = 1
+    loads = [0] * max(1, min(k, len(types)))
+    owner = {}
+    for dtype in sorted(types, key=lambda t: -t.total_rank):
+        b = loads.index(min(loads))
+        owner[dtype] = b
+        loads[b] += (1 << dtype.total_rank) - 1
+    return [[t for t in types if owner[t] == b] for b in range(len(loads))]
+
+
+def _fork_bin(part: list[DiagramType]) -> tuple[int, int]:
+    """Fork a child that sweeps `part`; return its pid and the read end of
+    the pipe it writes its pickled TypeResults to.
+
+    The child leaves only through `os._exit`, so it never returns into the
+    caller, runs no atexit handler and flushes no stdio buffer it inherited.
+    """
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            results: TypeResults = {}
+            _sweep_types(part, {}, {}, results)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _sweep_bins(bins: list[list[DiagramType]], results: TypeResults) -> None:
+    """Sweep bins[1:] in forked children and bins[0] here, into `results`.
+
+    Each process keeps memos of its own.  This process sweeps a bin itself
+    when its child cannot be forked, or when the child's results are missing
+    or unreadable because it died.  Nothing is forked while other threads
+    run: a forked child would inherit their locks but not the threads.
+    """
+    import pickle
+    import signal
+    import threading
+
+    here = [bins[0]]
+    children: list[tuple[int, int, list[DiagramType]]] = []
+    images: Images = {}
+    boxes: Boxes = {}
+    try:
+        for part in bins[1:]:
+            if threading.active_count() > 1:
+                here.append(part)
+                continue
+            try:
+                pid, read_fd = _fork_bin(part)
+            except OSError:
+                here.append(part)
+                continue
+            children.append((pid, read_fd, part))
+        for part in here:
+            _sweep_types(part, images, boxes, results)
+        for pid, read_fd, part in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                results.update(pickle.loads(data))
+            except (pickle.UnpicklingError, EOFError):
+                _sweep_types(part, images, boxes, results)
+    finally:
+        # a child whose results were read has nothing left to do; one whose
+        # results were not is stopped, as this process is raising
+        for pid, read_fd, _ in children:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def sweep(max_rank: int = 8) -> SweepReport:
     """Run every decoration of every type in range through all the checks.
 
     The inputs are counted rank by rank before any type is listed; at the
-    first rank where the count passes MAX_SWEEP_INPUTS nothing runs.
+    first rank where the count passes MAX_SWEEP_INPUTS nothing runs.  The
+    types are dealt to one process per available CPU; the report does not
+    depend on how many there are, except for `elapsed`.
     """
     start = time.monotonic()
     count = 0
@@ -459,21 +592,19 @@ def sweep(max_rank: int = 8) -> SweepReport:
                 f" over the limit of {MAX_SWEEP_INPUTS}"
             )
     types = sweep_inputs(max_rank)
+    bins = _deal(types, _cpus())
+    results: TypeResults = {}
+    if len(bins) == 1:
+        _sweep_types(types, {}, {}, results)
+    else:
+        _sweep_bins(bins, results)
     total = passed = 0
     problems: list[Mismatch] = []
-    images: Images = {}
-    boxes: Boxes = {}
     for dtype in types:
-        rank = dtype.total_rank
-        for bits in range(1, 1 << rank):
-            decoration = Decoration(
-                tuple(bool(bits >> i & 1) for i in range(rank))
-            )
-            total += 1
-            before = len(problems)
-            _check_input(dtype, decoration, problems, images, boxes)
-            if len(problems) == before:
-                passed += 1
+        inputs, ok, found = results[dtype]
+        total += inputs
+        passed += ok
+        problems += found
     return SweepReport(
         total,
         passed,

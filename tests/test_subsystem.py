@@ -370,3 +370,51 @@ def test_simple_roots_match_the_pairwise_sum_definition():
                 sub = generate_subsystem(graded)
                 assert sub._simple_idx == _pairwise_simple_idx(sub)
     assert len(seen) == 305
+
+
+# ------------------------------------------------------ diagram automorphisms
+
+
+def _automorphisms(family, rank):
+    """The nontrivial automorphisms of a connected diagram in Bourbaki
+    numbering, each as the 0-based image of every node."""
+    nodes = list(range(rank))
+    if family == "A" and rank >= 2:
+        return [nodes[::-1]]
+    if family == "D" and rank == 4:  # triality permutes the three legs 1, 3, 4
+        legs = (0, 2, 3)
+        return [
+            [dict(zip(legs, perm)).get(i, i) for i in nodes]
+            for perm in itertools.permutations(legs)
+            if perm != legs
+        ]
+    if family == "D":
+        return [nodes[:-2] + [rank - 1, rank - 2]]
+    if family == "E" and rank == 6:
+        return [[5, 1, 4, 3, 2, 0]]
+    return []
+
+
+def test_diagram_automorphisms_leave_the_output_diagram_unchanged():
+    # metamorphic: no rule table, just the pipeline on both sides of a
+    # symmetry of the input diagram
+    pairs = 0
+    for dtype in sweep_inputs(8):
+        (comp,) = dtype.components
+        autos = _automorphisms(comp.family, comp.rank)
+        if not autos:
+            continue
+        out = {}
+        for crossed in itertools.product((False, True), repeat=comp.rank):
+            if any(crossed):
+                dd = associated_diagram(grade_diagram(dtype, Decoration(crossed)))
+                out[crossed] = (dd.dtype, dd.decoration)
+        for sigma in autos:
+            for crossed, image in out.items():
+                moved = [False] * comp.rank
+                for i, c in enumerate(crossed):
+                    moved[sigma[i]] = c
+                if tuple(moved) != crossed:
+                    assert out[tuple(moved)] == image, (dtype, crossed, sigma)
+                    pairs += 1
+    assert pairs == 786

@@ -1,6 +1,8 @@
 """Closed-form expected answers and the exhaustive sweep harness."""
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -260,6 +262,16 @@ def test_sweep_records_a_crash_and_carries_on(monkeypatch, capsys):
 # ------------------------------------------------ the idempotence memo
 
 
+@pytest.fixture
+def one_process():
+    """Sweep in this process only, for tests that count calls in it or carry
+    state between calls.  A context of its own, so `monkeypatch.undo()` in a
+    test leaves it in place."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_cpus", lambda: 1)
+        yield
+
+
 def _images(max_rank):
     """(dtype, decoration) of each sweep input -> its associated diagram."""
     out = {}
@@ -291,6 +303,7 @@ def _count_gradings(monkeypatch, fail_after=None):
     return calls
 
 
+@pytest.mark.usefixtures("one_process")
 def test_idempotence_memo_hides_no_failure(monkeypatch):
     images = _images(4)
     line = (diagram_type(("A", 1)), Decoration.from_string("x"))
@@ -315,6 +328,7 @@ def test_idempotence_memo_hides_no_failure(monkeypatch):
     assert len(calls) == report.total + len(set(images.values()))
 
 
+@pytest.mark.usefixtures("one_process")
 def test_box_memo_keeps_no_box_whose_image_moves(monkeypatch):
     images = _images(4)
     line = (diagram_type(("A", 1)), Decoration.from_string("x"))
@@ -347,6 +361,7 @@ def test_box_memo_keeps_no_box_whose_image_moves(monkeypatch):
     assert {m.detail for m in report.mismatches} == {"A1:x maps to A1:o"}
 
 
+@pytest.mark.usefixtures("one_process")
 def test_sweep_grades_each_input_and_each_image_once(monkeypatch):
     distinct_images = len(set(_images(6).values()))
     calls = _count_gradings(monkeypatch)
@@ -407,6 +422,7 @@ def _count_direct(monkeypatch, fail_on=None):
     return calls
 
 
+@pytest.mark.usefixtures("one_process")
 def test_sweep_runs_the_subsystem_routes_once_per_box(monkeypatch):
     boxes = set(_by_box(6))
     assert len(boxes) == 150
@@ -479,6 +495,7 @@ def _record_fixed(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("one_process")
 def test_sweep_computes_the_fixed_set_once_per_box(monkeypatch):
     calls = _record_fixed(monkeypatch)
     boxes = _count_direct(monkeypatch)
@@ -487,6 +504,7 @@ def test_sweep_computes_the_fixed_set_once_per_box(monkeypatch):
     assert len(calls) == len(boxes) == len(set(boxes)) == 150
 
 
+@pytest.mark.usefixtures("one_process")
 def test_memo_fixed_set_filtered_by_grade_is_each_inputs_perpendicular_set(
     monkeypatch,
 ):
@@ -503,3 +521,166 @@ def test_memo_fixed_set_filtered_by_grade_is_each_inputs_perpendicular_set(
             assert [b for b in kept if grade[b] == 0] == perpendicular_idx(sub)
             count += 1
     assert count == 1180
+
+
+# ---------------------------------------------------- the split over processes
+
+
+def _sweep_on(monkeypatch, cpus, max_rank):
+    """sweep(max_rank) as if `cpus` CPUs were available, `elapsed` zeroed."""
+    monkeypatch.setattr(verify, "_cpus", lambda: cpus)
+    return sweep(max_rank)._replace(elapsed=0.0)
+
+
+def _child_bin(max_rank):
+    bins = verify._deal(sweep_inputs(max_rank), 2)
+    assert len(bins) == 2
+    return {str(t) for t in bins[1]}
+
+
+def test_split_sweep_reports_what_one_process_reports(monkeypatch):
+    serial = _sweep_on(monkeypatch, 1, 8)
+    split = _sweep_on(monkeypatch, 2, 8)
+    assert split.total == 2455 and split.ok
+    assert split == serial
+    assert split.to_json() == serial.to_json()
+    assert split.to_text() == serial.to_text()
+
+
+def test_split_sweep_reports_a_broken_rule_in_type_order(monkeypatch):
+    parent = os.getpid()
+    ruled_here = set()
+
+    def broken(rank, s):
+        if os.getpid() == parent:
+            ruled_here.add(f"A{rank}")
+        return cominuscule_id("A", 5, 2), "broken"
+
+    monkeypatch.setitem(verify.FAMILY_RULES, "A", broken)
+    a_types = {f"A{r}" for r in range(1, 9)}
+    child = _child_bin(8)
+    assert a_types & child and a_types - child
+    serial = _sweep_on(monkeypatch, 1, 8)
+    assert ruled_here == a_types
+    ruled_here.clear()
+    split = _sweep_on(monkeypatch, 2, 8)
+    # the child's A types failed through the patch it inherited through
+    # fork, and this process never ran their rule
+    assert ruled_here == a_types - child
+
+    assert split.failed == serial.failed > 0
+    assert split.mismatches == serial.mismatches
+    assert split.to_json() == serial.to_json()
+    assert split.to_text() == serial.to_text()
+    order = [str(t) for t in sweep_inputs(8)]
+    ranks = [order.index(m.dtype) for m in split.mismatches]
+    assert ranks == sorted(ranks)
+    assert {m.dtype for m in split.mismatches} == a_types
+
+
+@pytest.mark.parametrize("failure", ["fork", "child dies"])
+def test_split_sweep_runs_a_lost_bin_itself(monkeypatch, failure):
+    serial = _sweep_on(monkeypatch, 1, 6)
+    parent = os.getpid()
+    real = verify._check_input
+    checked_here = set()
+
+    def checking(dtype, decoration, *args):
+        if os.getpid() != parent:
+            if str(dtype) == "B5" and str(decoration) == "xxxoo":
+                os._exit(3)  # partway through the child's bin
+        else:
+            checked_here.add(str(dtype))
+        return real(dtype, decoration, *args)
+
+    monkeypatch.setattr(verify, "_check_input", checking)
+    assert "B5" in _child_bin(6)
+    if failure == "fork":
+
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    report = _sweep_on(monkeypatch, 2, 6)
+    assert report == serial
+    assert report.to_text() == serial.to_text()
+    # this process ran the lost bin itself
+    assert checked_here == {str(t) for t in sweep_inputs(6)}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _record_forks(monkeypatch):
+    real = verify._fork_bin
+    pids = []
+
+    def recording(part):
+        pid, read_fd = real(part)
+        pids.append(pid)
+        return pid, read_fd
+
+    monkeypatch.setattr(verify, "_fork_bin", recording)
+    return pids
+
+
+def test_split_sweep_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    pids = _record_forks(monkeypatch)
+    assert sweep(5).ok
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    # this process raises partway through its own bin, the child still busy
+    parent = os.getpid()
+    real = verify._check_input
+
+    def raising(dtype, decoration, *args):
+        if os.getpid() == parent and str(dtype) == "A5":
+            raise RuntimeError("stop")
+        return real(dtype, decoration, *args)
+
+    monkeypatch.setattr(verify, "_check_input", raising)
+    pids.clear()
+    with pytest.raises(RuntimeError, match="stop"):
+        sweep(5)
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_forks_nothing_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    pids = _record_forks(monkeypatch)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait, args=(60,))
+    waiter.start()
+    try:
+        report = sweep(4)
+    finally:
+        done.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    assert pids == []
+    assert report.total == 106 and report.ok
+
+
+def test_deal_puts_each_type_in_one_bin(monkeypatch):
+    types = sweep_inputs(8)
+    largest = 2**8 - 1
+    for k in (1, 2, 3, 4, 7, len(types), 100):
+        bins = verify._deal(types, k)
+        assert 1 <= len(bins) <= k
+        assert all(bins)
+        assert sorted(t for part in bins for t in part) == sorted(types)
+        for part in bins:  # each bin keeps the sweep order
+            assert part == [t for t in types if t in part]
+        loads = [sum(2**t.total_rank - 1 for t in part) for part in bins]
+        assert max(loads) - min(loads) <= largest
+    assert verify._deal(types, 1) == [types]
+    assert len(verify._deal(types[:3], 8)) == 3
+
+    monkeypatch.delattr(os, "fork")
+    assert verify._deal(types, 4) == [types]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert verify._cpus() == 1
