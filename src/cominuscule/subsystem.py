@@ -151,25 +151,26 @@ def direct_subsystem(graded: GradedRootSystem) -> Subsystem:
 
 
 def decorated_diagram(sub: Subsystem) -> DecoratedDiagram:
-    """Name the subsystem's diagram and cross its positive-grade simple roots.
+    """Name the subsystem's diagram and cross its simple roots in the box.
 
     Among the automorphic Bourbaki labelings of each component, take the one
     placing the crossed node earliest; this makes the output a fixed point of
-    the pipeline instead of flipping under chain reversal or fork swaps.
+    the pipeline instead of flipping under chain reversal or fork swaps.  It
+    reads no grade, so it depends on the members and the box alone.
     """
-    grade, simple = sub.graded.grade_of_root, sub._simple_idx
+    box, simple = set(sub.graded.box_idx), sub._simple_idx
     components: list[Component] = []
     order: list[int] = []
     crossed: list[bool] = []
     for family, rank, labelings in recognize_labelings(sub.cartan):
         def marks(nodes: tuple[int, ...]) -> tuple[bool, ...]:
-            return tuple(grade[simple[i]] > 0 for i in nodes)
+            return tuple(simple[i] in box for i in nodes)
 
         nodes = min(labelings, key=lambda c: ([not m for m in marks(c)], c))
         local = marks(nodes)
         if sum(local) != 1:
             raise ClassificationError(
-                f"subsystem component has {sum(local)} grade-1 simple roots,"
+                f"subsystem component has {sum(local)} simple roots in the box,"
                 " expected 1"
             )
         components.append(Component(family, rank))

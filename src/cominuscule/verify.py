@@ -11,24 +11,13 @@ Many inputs share an output diagram, so one sweep keeps the pipeline's image
 of each output diagram it has checked for idempotence and runs the pipeline
 on a given output once.
 
-Many inputs of one type also share a box, the set of top-grade roots, and
-everything from the box on depends on the box alone: both subsystem routes
-read only the root system and the box, and `decorated_diagram` reads grades
-only as "grade > 0" on positive simple members, which under the grade
-trichotomy means "in the box".  So the sweep also keeps, per (type, box):
-- the subsystem's members, its decorated diagram and its classification;
-- the fixed set, the roots fixed by the reflection in every member, which
-  `_fixed_idx` computes from the root system and the members without
-  reading a grade;
-- the idempotence verdict, which reads only the decorated diagram.  It is
-  kept as the entry itself: a box is stored only once its output diagram
-  came back unchanged.
-The two routes, their comparison, the recognition, the fixed set and the
-idempotence check run once per box.  A later input with that box still
-rebuilds its own subsystem from the members, so the trichotomy is checked on
-its own grades, and it takes the grade-0 roots of the fixed set on its own
-grades for the compact dichotomy; every check that depends on the decoration
-runs on every input.
+Many inputs of one type also share a box, the set of top-grade roots.  The
+box stage reads the root system and the box: the two subsystem routes, their
+comparison, the decorated diagram, which crosses the simple roots in the box,
+the classification and the fixed set, the roots fixed by the reflection in
+every member.  The sweep keeps its record per (type, box), and every input
+rebuilds its own subsystem from the kept members for the checks that read its
+grades or its decoration.
 
 Both memos keep only results that came out without an error, so a failing
 output or box fails again on every input that has it.
@@ -49,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .classify import CominusculeId, classify_cominuscule, cominuscule_id
 from .errors import CominusculeError, InvalidDiagramError
-from .grading import Decoration, box, grade_diagram
+from .grading import Decoration, GradedRootSystem, box, grade_diagram
 from .hasse import flag_hasse, highest_component
 from .rootsys import DiagramType, Root, _canonical_families, diagram_type
 from .subsystem import (
@@ -292,10 +281,11 @@ def _root_list(roots: Iterable[Root]) -> str:
 
 
 Images = dict[tuple[DiagramType, Decoration], DecoratedDiagram]
-Boxes = dict[
-    tuple[DiagramType, tuple[int, ...]],
-    tuple[frozenset[int], DecoratedDiagram, tuple[CominusculeId, ...], list[int]],
+# a box's members, decorated diagram, classification and fixed set
+BoxRecord = tuple[
+    frozenset[int], DecoratedDiagram, tuple[CominusculeId, ...], list[int]
 ]
+Boxes = dict[tuple[DiagramType, tuple[int, ...]], BoxRecord]
 
 
 def _check_input(
@@ -311,9 +301,8 @@ def _check_input(
     kind.  Any other exception escaping the checks is recorded as a `crash`
     mismatch; it ends this input's checks, not the sweep.  `images` maps each
     output diagram already checked for idempotence to its pipeline image;
-    `boxes` maps each (type, box) whose subsystem, classification and
-    idempotence came out clean to its members, decorated diagram,
-    classification and the root indices its reflections all fix.
+    `boxes` maps each (type, box) whose box stage came out clean to its
+    record.
     """
 
     def fail(kind: str, detail: str) -> None:
@@ -330,6 +319,29 @@ def _check_input(
         fail("crash", f"{type(exc).__name__}: {exc} (in {where})")
 
 
+def _box_stage(graded: GradedRootSystem) -> BoxRecord | tuple[str, str]:
+    """The record of `graded`'s box, or the first (kind, detail) failure.
+
+    The record depends on the root system and the box alone; only the
+    routes' trichotomy check reads `graded`'s grades, and that can only fail.
+    """
+    try:
+        gen = generate_subsystem(graded)
+        direct = direct_subsystem(graded)
+    except CominusculeError as exc:
+        return "subsystem", str(exc)
+    if gen.members != direct.members:
+        return "oracle", (
+            f"generated {_root_list(gen.roots)} != direct {_root_list(direct.roots)}"
+        )
+    try:
+        dd = decorated_diagram(gen)
+        ids = classify_cominuscule(dd)
+    except CominusculeError as exc:
+        return "classify", str(exc)
+    return gen.members, dd, ids, _fixed_idx(graded.rs, gen.members)
+
+
 def _run_checks(
     dtype: DiagramType,
     decoration: Decoration,
@@ -344,37 +356,19 @@ def _run_checks(
         return
 
     box_key = (dtype, tuple(graded.box_idx))
-    known = boxes.get(box_key)
+    # fetch the box's record or compute it; a failure is not kept
+    record = boxes.get(box_key) or _box_stage(graded)
+    if len(record) == 2:  # a (kind, detail) failure
+        fail(*record)
+        return
+    boxes[box_key] = record
+    members, dd, ids, fixed = record
     try:
-        if known is None:
-            gen = generate_subsystem(graded)
-            direct = direct_subsystem(graded)
-        else:
-            # the input's own subsystem: its grades, its trichotomy check
-            members, dd, ids, fixed = known
-            gen = _make_subsystem(graded, members)
+        # the input's own subsystem: its grades, its trichotomy check
+        sub = _make_subsystem(graded, members)
     except CominusculeError as exc:
         fail("subsystem", str(exc))
         return
-
-    if known is None:
-        if gen.members != direct.members:
-            fail(
-                "oracle",
-                "generated "
-                + _root_list(gen.roots)
-                + " != direct "
-                + _root_list(direct.roots),
-            )
-            return
-
-        try:
-            dd = decorated_diagram(gen)
-            ids = classify_cominuscule(dd)
-        except CominusculeError as exc:
-            fail("classify", str(exc))
-            return
-        fixed = _fixed_idx(graded.rs, gen.members)
 
     expected = expected_answer(dtype, decoration)
     got_keys = tuple(c.key() for c in ids)
@@ -383,7 +377,7 @@ def _run_checks(
         fail(
             "expected-answer",
             f"pipeline {got_keys} != rule {expected.rule_source} {want_keys};"
-            f" subsystem roots {_root_list(gen.roots)}",
+            f" subsystem roots {_root_list(sub.roots)}",
         )
 
     if len(dd.dtype.components) != len(dtype.components):
@@ -393,7 +387,7 @@ def _run_checks(
     # and roots perpendicular to all of it, the grade-0 roots of `fixed`
     grade = graded.grade_of_root
     perp = {b for b in fixed if grade[b] == 0}
-    in_sub = {i for i in gen.members if grade[i] == 0}
+    in_sub = {i for i in members if grade[i] == 0}
     if len(perp | in_sub) != grade.count(0) or perp & in_sub:
         stray = {i for i, g in enumerate(grade) if g == 0} - perp - in_sub
         fail("compact-dichotomy", _root_list(graded.rs.roots[i] for i in stray))
@@ -411,8 +405,6 @@ def _run_checks(
     if total_dim != box_size:
         fail("dimension", f"classified dim {total_dim} != |box| {box_size}")
 
-    if known is not None:
-        return  # a kept box passed the idempotence check
     key = (dd.dtype, dd.decoration)
     dd2 = images.get(key)
     if dd2 is None:
@@ -425,8 +417,6 @@ def _run_checks(
         images[key] = dd2
     if (dd2.dtype, dd2.decoration) != key:
         fail("idempotence", f"{dd} maps to {dd2}")
-        return
-    boxes[box_key] = (gen.members, dd, ids, fixed)
 
 
 # The most inputs one sweep runs.  Each type of rank r has 2^r - 1

@@ -309,11 +309,25 @@ def test_all_point_factors_give_empty_subsystem():
 def test_two_crossed_simples_is_rejected():
     sub = generate_subsystem(run([("A", 3)], "xoo"))
     doctored = run([("A", 3)], "xoo")
-    for i in sub._simple_idx:
-        doctored.grade_of_root[i] = 1
+    # a second simple root in the box is a second crossed node
+    extra = next(i for i in sub._simple_idx if i not in doctored.box_idx)
+    doctored.box_idx = sorted(doctored.box_idx + [extra])
     bad = Subsystem(doctored, sub.members)
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ClassificationError, match="2 simple roots in the box"):
         decorated_diagram(bad)
+
+
+def test_decorated_diagram_reads_the_box_and_no_grade():
+    graded = run([("E", 6)], "xooooo")
+    sub = generate_subsystem(graded)
+    want = decorated_diagram(sub)
+    doctored = run([("E", 6)], "xooooo")
+    half = len(doctored.rs.positive_roots)
+    for i in sub.members:
+        if i >= half:
+            doctored.grade_of_root[i] = 0
+    assert doctored.box_idx == graded.box_idx
+    assert decorated_diagram(Subsystem(doctored, sub.members)) == want
 
 
 def test_intermediate_grade_is_rejected():

@@ -380,8 +380,8 @@ def _decorations(dtype):
 
 
 def _by_box(max_rank):
-    """(dtype, box_idx) -> the pipeline's results on each input with that box,
-    every input run fresh."""
+    """(dtype, box_idx) -> the pipeline's results and the box stage's record
+    on each input with that box, every input run fresh."""
     groups = {}
     for dtype in sweep_inputs(max_rank):
         for dec in _decorations(dtype):
@@ -389,7 +389,12 @@ def _by_box(max_rank):
             sub = generate_subsystem(graded)
             dd = decorated_diagram(sub)
             keys = tuple(c.key() for c in classify_cominuscule(dd))
-            result = (sub.members, dd.dtype, dd.decoration, dd.node_embedding, keys)
+            # the box stage's record: members, diagram, ids and fixed set
+            record = verify._box_stage(graded)
+            assert record[:2] == (sub.members, dd)
+            result = (
+                sub.members, dd.dtype, dd.decoration, dd.node_embedding, keys, record
+            )
             groups.setdefault((dtype, tuple(graded.box_idx)), []).append(result)
     return groups
 
