@@ -25,7 +25,7 @@ from .rootsys import (
     build_root_system,
     normalize_component,
 )
-from .subsystem import decorated_diagram, generate_subsystem
+from .subsystem import associated_diagram
 from .verify import sweep
 
 # Carter node i of a component = Bourbaki node CARTER_TO_BOURBAKI[...][i-1].
@@ -147,9 +147,8 @@ def _add_spec(p: argparse.ArgumentParser) -> None:
 def cmd_compute(args: argparse.Namespace) -> int:
     """Build one result record and print it as JSON or as text."""
     dtype, decoration = parse_spec(args.spec, args.numbering)
-    graded = GradedRootSystem(
-        build_root_system(dtype), decoration,
-        allow_point_factors=args.allow_point_factors,
+    graded = grade_diagram(
+        dtype, decoration, allow_point_factors=args.allow_point_factors
     )
     dropped = [str(dtype.components[i]) for i in graded.point_components]
     record = {
@@ -161,7 +160,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "dropped_point_factors": dropped,
     }
     if any(decoration.crossed):
-        dd = decorated_diagram(generate_subsystem(graded))
+        dd = associated_diagram(graded)
         record.update(
             associated={
                 "type": str(dd.dtype),

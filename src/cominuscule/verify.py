@@ -22,19 +22,21 @@ grades or its decoration.
 Both memos keep only results that came out without an error, so a failing
 output or box fails again on every input that has it.
 
-One `sweep` call deals its types to one process per CPU it may use: it forks
-a child per bin but the first, which it runs itself.  Each process keeps
-both memos for its own bin only.  Inputs of different types share nothing
-but the images memo, which keeps only clean results, so the report is the
-same for any number of processes, except for `elapsed`: the results are
-merged in type order.
+One `sweep` call deals its types to one bin per CPU it may use and takes
+the same path at any count: it forks a child per bin but the first, which
+it sweeps itself, so with one bin it forks nothing.  Each pass over a share
+of the types owns both memos for that pass only and returns each type's
+mismatches.  Inputs of different types share nothing but the images memo,
+which keeps only clean results, so the report is the same for any number of
+processes, except for `elapsed`: the mismatches are merged in type order,
+and an input fails when it has at least one.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .classify import CominusculeId, classify_cominuscule, cominuscule_id
 from .errors import CominusculeError, InvalidDiagramError
@@ -280,43 +282,10 @@ def _root_list(roots: Iterable[Root]) -> str:
     return "[" + ", ".join(str(r) for r in sorted(roots)) + "]"
 
 
-Images = dict[tuple[DiagramType, Decoration], DecoratedDiagram]
 # a box's members, decorated diagram, classification and fixed set
 BoxRecord = tuple[
     frozenset[int], DecoratedDiagram, tuple[CominusculeId, ...], list[int]
 ]
-Boxes = dict[tuple[DiagramType, tuple[int, ...]], BoxRecord]
-
-
-def _check_input(
-    dtype: DiagramType,
-    decoration: Decoration,
-    problems: list[Mismatch],
-    images: Images,
-    boxes: Boxes,
-) -> None:
-    """Run every check on one input, appending what fails to `problems`.
-
-    A stage failing with a CominusculeError is a mismatch of that stage's
-    kind.  Any other exception escaping the checks is recorded as a `crash`
-    mismatch; it ends this input's checks, not the sweep.  `images` maps each
-    output diagram already checked for idempotence to its pipeline image;
-    `boxes` maps each (type, box) whose box stage came out clean to its
-    record.
-    """
-
-    def fail(kind: str, detail: str) -> None:
-        problems.append(Mismatch(str(dtype), str(decoration), kind, detail))
-
-    try:
-        _run_checks(dtype, decoration, fail, images, boxes)
-    except Exception as exc:
-        tb = exc.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        code = tb.tb_frame.f_code
-        where = f"{code.co_name}, {os.path.basename(code.co_filename)}:{tb.tb_lineno}"
-        fail("crash", f"{type(exc).__name__}: {exc} (in {where})")
 
 
 def _box_stage(graded: GradedRootSystem) -> BoxRecord | tuple[str, str]:
@@ -342,81 +311,103 @@ def _box_stage(graded: GradedRootSystem) -> BoxRecord | tuple[str, str]:
     return gen.members, dd, ids, _fixed_idx(graded.rs, gen.members)
 
 
-def _run_checks(
+def _check_input(
     dtype: DiagramType,
     decoration: Decoration,
-    fail: Callable[[str, str], None],
-    images: Images,
-    boxes: Boxes,
-) -> None:
+    images: dict[tuple[DiagramType, Decoration], DecoratedDiagram],
+    boxes: dict[tuple[DiagramType, tuple[int, ...]], BoxRecord],
+) -> list[Mismatch]:
+    """Run every check on one input; return what fails, in check order.
+
+    A stage failing with a CominusculeError is a mismatch of that stage's
+    kind.  Any other exception escaping the checks is recorded as a `crash`
+    mismatch; it ends this input's checks, not the sweep.  `images` maps each
+    output diagram already checked for idempotence to its pipeline image;
+    `boxes` maps each (type, box) whose box stage came out clean to its
+    record.
+    """
+    problems: list[Mismatch] = []
+
+    def fail(kind: str, detail: str) -> None:
+        problems.append(Mismatch(str(dtype), str(decoration), kind, detail))
+
     try:
-        graded = grade_diagram(dtype, decoration)
-    except CominusculeError as exc:
-        fail("grading", str(exc))
-        return
+        try:
+            graded = grade_diagram(dtype, decoration)
+        except CominusculeError as exc:
+            fail("grading", str(exc))
+            return problems
 
-    box_key = (dtype, tuple(graded.box_idx))
-    # fetch the box's record or compute it; a failure is not kept
-    record = boxes.get(box_key) or _box_stage(graded)
-    if len(record) == 2:  # a (kind, detail) failure
-        fail(*record)
-        return
-    boxes[box_key] = record
-    members, dd, ids, fixed = record
-    try:
-        # the input's own subsystem: its grades, its trichotomy check
-        sub = _make_subsystem(graded, members)
-    except CominusculeError as exc:
-        fail("subsystem", str(exc))
-        return
+        box_key = (dtype, tuple(graded.box_idx))
+        # fetch the box's record or compute it; a failure is not kept
+        record = boxes.get(box_key) or _box_stage(graded)
+        if len(record) == 2:  # a (kind, detail) failure
+            fail(*record)
+            return problems
+        boxes[box_key] = record
+        members, dd, ids, fixed = record
+        try:
+            # the input's own subsystem: its grades, its trichotomy check
+            sub = _make_subsystem(graded, members)
+        except CominusculeError as exc:
+            fail("subsystem", str(exc))
+            return problems
 
-    expected = expected_answer(dtype, decoration)
-    got_keys = tuple(c.key() for c in ids)
-    want_keys = tuple(c.key() for c in expected.expected)
-    if got_keys != want_keys:
-        fail(
-            "expected-answer",
-            f"pipeline {got_keys} != rule {expected.rule_source} {want_keys};"
-            f" subsystem roots {_root_list(sub.roots)}",
-        )
-
-    if len(dd.dtype.components) != len(dtype.components):
-        fail("component-count", f"{len(dd.dtype.components)} components out")
-
-    # compact dichotomy: grade-0 roots split into members of the subsystem
-    # and roots perpendicular to all of it, the grade-0 roots of `fixed`
-    grade = graded.grade_of_root
-    perp = {b for b in fixed if grade[b] == 0}
-    in_sub = {i for i in members if grade[i] == 0}
-    if len(perp | in_sub) != grade.count(0) or perp & in_sub:
-        stray = {i for i, g in enumerate(grade) if g == 0} - perp - in_sub
-        fail("compact-dichotomy", _root_list(graded.rs.roots[i] for i in stray))
-
-    high = highest_component(flag_hasse(graded), graded)
-    for b, h in zip(box(graded), high):
-        if b != h:
+        expected = expected_answer(dtype, decoration)
+        got_keys = tuple(c.key() for c in ids)
+        want_keys = tuple(c.key() for c in expected.expected)
+        if got_keys != want_keys:
             fail(
-                "box-vs-hasse",
-                f"box {_root_list(b)} != highest component {_root_list(h)}",
+                "expected-answer",
+                f"pipeline {got_keys} != rule {expected.rule_source} {want_keys};"
+                f" subsystem roots {_root_list(sub.roots)}",
             )
 
-    total_dim = sum(c.dimension for c in ids)
-    box_size = len(graded.box_idx)
-    if total_dim != box_size:
-        fail("dimension", f"classified dim {total_dim} != |box| {box_size}")
+        if len(dd.dtype.components) != len(dtype.components):
+            fail("component-count", f"{len(dd.dtype.components)} components out")
 
-    key = (dd.dtype, dd.decoration)
-    dd2 = images.get(key)
-    if dd2 is None:
-        try:
-            graded2 = grade_diagram(dd.dtype, dd.decoration)
-            dd2 = decorated_diagram(generate_subsystem(graded2))
-        except CominusculeError as exc:
-            fail("idempotence", str(exc))
-            return
-        images[key] = dd2
-    if (dd2.dtype, dd2.decoration) != key:
-        fail("idempotence", f"{dd} maps to {dd2}")
+        # compact dichotomy: grade-0 roots split into members of the subsystem
+        # and roots perpendicular to all of it, the grade-0 roots of `fixed`
+        grade = graded.grade_of_root
+        perp = {b for b in fixed if grade[b] == 0}
+        in_sub = {i for i in members if grade[i] == 0}
+        if len(perp | in_sub) != grade.count(0) or perp & in_sub:
+            stray = {i for i, g in enumerate(grade) if g == 0} - perp - in_sub
+            fail("compact-dichotomy", _root_list(graded.rs.roots[i] for i in stray))
+
+        high = highest_component(flag_hasse(graded), graded)
+        for b, h in zip(box(graded), high):
+            if b != h:
+                fail(
+                    "box-vs-hasse",
+                    f"box {_root_list(b)} != highest component {_root_list(h)}",
+                )
+
+        total_dim = sum(c.dimension for c in ids)
+        box_size = len(graded.box_idx)
+        if total_dim != box_size:
+            fail("dimension", f"classified dim {total_dim} != |box| {box_size}")
+
+        key = (dd.dtype, dd.decoration)
+        dd2 = images.get(key)
+        if dd2 is None:
+            try:
+                graded2 = grade_diagram(dd.dtype, dd.decoration)
+                dd2 = decorated_diagram(generate_subsystem(graded2))
+            except CominusculeError as exc:
+                fail("idempotence", str(exc))
+                return problems
+            images[key] = dd2
+        if (dd2.dtype, dd2.decoration) != key:
+            fail("idempotence", f"{dd} maps to {dd2}")
+    except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{code.co_name}, {os.path.basename(code.co_filename)}:{tb.tb_lineno}"
+        fail("crash", f"{type(exc).__name__}: {exc} (in {where})")
+    return problems
 
 
 # The most inputs one sweep runs.  Each type of rank r has 2^r - 1
@@ -439,27 +430,21 @@ def sweep_inputs(max_rank: int) -> list[DiagramType]:
     ]
 
 
-# dtype -> (inputs, passed, mismatches) over every decoration of that type
-TypeResults = dict[DiagramType, tuple[int, int, list[Mismatch]]]
-
-
-def _sweep_types(
-    types: Iterable[DiagramType], images: Images, boxes: Boxes, results: TypeResults
-) -> None:
-    """Run every decoration of each type through the checks, into `results`."""
+def _sweep_types(types: Iterable[DiagramType]) -> dict[DiagramType, list[Mismatch]]:
+    """Run every decoration of each type through the checks; return each
+    type's mismatches.  The memos live for this one call."""
+    images = {}
+    boxes = {}
+    results = {}
     for dtype in types:
         rank = dtype.total_rank
-        problems: list[Mismatch] = []
-        passed = 0
+        found = results[dtype] = []
         for bits in range(1, 1 << rank):
             decoration = Decoration(
                 tuple(bool(bits >> i & 1) for i in range(rank))
             )
-            before = len(problems)
-            _check_input(dtype, decoration, problems, images, boxes)
-            if len(problems) == before:
-                passed += 1
-        results[dtype] = ((1 << rank) - 1, passed, problems)
+            found += _check_input(dtype, decoration, images, boxes)
+    return results
 
 
 def _cpus() -> int:
@@ -490,7 +475,7 @@ def _deal(types: list[DiagramType], k: int) -> list[list[DiagramType]]:
 
 def _fork_bin(part: list[DiagramType]) -> tuple[int, int]:
     """Fork a child that sweeps `part`; return its pid and the read end of
-    the pipe it writes its pickled TypeResults to.
+    the pipe it writes its pickled results to.
 
     The child leaves only through `os._exit`, so it never returns into the
     caller, runs no atexit handler and flushes no stdio buffer it inherited.
@@ -508,8 +493,7 @@ def _fork_bin(part: list[DiagramType]) -> tuple[int, int]:
         status = 1
         try:
             os.close(read_fd)
-            results: TypeResults = {}
-            _sweep_types(part, {}, {}, results)
+            results = _sweep_types(part)
             with open(write_fd, "wb") as pipe:
                 pipe.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
             status = 0
@@ -519,42 +503,41 @@ def _fork_bin(part: list[DiagramType]) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _sweep_bins(bins: list[list[DiagramType]], results: TypeResults) -> None:
-    """Sweep bins[1:] in forked children and bins[0] here, into `results`.
+def _sweep_bins(bins: list[list[DiagramType]]) -> dict[DiagramType, list[Mismatch]]:
+    """Sweep bins[1:] in forked children and bins[0] here; return each
+    type's mismatches.
 
-    Each process keeps memos of its own.  This process sweeps a bin itself
-    when its child cannot be forked, or when the child's results are missing
-    or unreadable because it died.  Nothing is forked while other threads
-    run: a forked child would inherit their locks but not the threads.
+    This process sweeps bins[0], with every bin whose child cannot be forked,
+    in one pass, and each bin whose child died, leaving its results missing
+    or unreadable, in a fresh pass.  With one bin it forks nothing.  Nothing
+    is forked while other threads run: a forked child would inherit their
+    locks but not the threads.
     """
     import pickle
     import signal
     import threading
 
-    here = [bins[0]]
+    here = list(bins[0])
     children: list[tuple[int, int, list[DiagramType]]] = []
-    images: Images = {}
-    boxes: Boxes = {}
     try:
         for part in bins[1:]:
             if threading.active_count() > 1:
-                here.append(part)
+                here += part
                 continue
             try:
                 pid, read_fd = _fork_bin(part)
             except OSError:
-                here.append(part)
+                here += part
                 continue
             children.append((pid, read_fd, part))
-        for part in here:
-            _sweep_types(part, images, boxes, results)
+        results = _sweep_types(here)
         for pid, read_fd, part in children:
             with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
             try:
                 results.update(pickle.loads(data))
             except (pickle.UnpicklingError, EOFError):
-                _sweep_types(part, images, boxes, results)
+                results.update(_sweep_types(part))
     finally:
         # a child whose results were read has nothing left to do; one whose
         # results were not is stopped, as this process is raising
@@ -562,6 +545,7 @@ def _sweep_bins(bins: list[list[DiagramType]], results: TypeResults) -> None:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    return results
 
 
 def sweep(max_rank: int = 8) -> SweepReport:
@@ -582,23 +566,9 @@ def sweep(max_rank: int = 8) -> SweepReport:
                 f" over the limit of {MAX_SWEEP_INPUTS}"
             )
     types = sweep_inputs(max_rank)
-    bins = _deal(types, _cpus())
-    results: TypeResults = {}
-    if len(bins) == 1:
-        _sweep_types(types, {}, {}, results)
-    else:
-        _sweep_bins(bins, results)
-    total = passed = 0
-    problems: list[Mismatch] = []
-    for dtype in types:
-        inputs, ok, found = results[dtype]
-        total += inputs
-        passed += ok
-        problems += found
+    results = _sweep_bins(_deal(types, _cpus()))
+    mismatches = tuple(m for dtype in types for m in results[dtype])
+    failed = len({(m.dtype, m.decoration) for m in mismatches})
     return SweepReport(
-        total,
-        passed,
-        total - passed,
-        tuple(problems),
-        time.monotonic() - start,
+        count, count - failed, failed, mismatches, time.monotonic() - start
     )

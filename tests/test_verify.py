@@ -583,6 +583,38 @@ def test_split_sweep_reports_a_broken_rule_in_type_order(monkeypatch):
     assert {m.dtype for m in split.mismatches} == a_types
 
 
+def test_sweep_counts_failed_inputs_not_mismatches(monkeypatch):
+    a4 = diagram_type(("A", 4))
+    target = (a4, Decoration.from_string("xoox"))
+    real_expected = verify.expected_answer
+    real_high = verify.highest_component
+
+    def wrong_expected(dtype, decoration):
+        if (dtype, decoration) == target:
+            return verify.ExpectedResult(
+                dtype, decoration, (cominuscule_id("A", 2, 1),), "wrong"
+            )
+        return real_expected(dtype, decoration)
+
+    def wrong_high(h, graded):
+        high = real_high(h, graded)
+        if (graded.rs.dtype, graded.decoration) == target:
+            return tuple(frozenset() for _ in high)
+        return high
+
+    monkeypatch.setattr(verify, "expected_answer", wrong_expected)
+    monkeypatch.setattr(verify, "highest_component", wrong_high)
+    serial = _sweep_on(monkeypatch, 1, 5)
+    split = _sweep_on(monkeypatch, 2, 5)
+    assert split == serial
+    # one input with two mismatches is one failed input
+    assert (serial.total, serial.passed, serial.failed) == (230, 229, 1)
+    assert [(m.dtype, m.decoration, m.kind) for m in serial.mismatches] == [
+        ("A4", "xoox", "expected-answer"),
+        ("A4", "xoox", "box-vs-hasse"),
+    ]
+
+
 @pytest.mark.parametrize("failure", ["fork", "child dies"])
 def test_split_sweep_runs_a_lost_bin_itself(monkeypatch, failure):
     serial = _sweep_on(monkeypatch, 1, 6)
@@ -629,8 +661,13 @@ def _record_forks(monkeypatch):
 
 
 def test_split_sweep_leaves_no_child(monkeypatch):
-    monkeypatch.setattr(verify, "_cpus", lambda: 2)
     pids = _record_forks(monkeypatch)
+    # with one CPU there is one bin, swept here: nothing is forked
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+    assert sweep(5).ok
+    assert pids == []
+
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
     assert sweep(5).ok
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
