@@ -108,24 +108,23 @@ def export(h: HasseDiagram, format: str) -> bytes:
             "edges": [{"from": a, "to": b, "label": lab} for a, b, lab in h.edges],
         }
         return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+    if format not in ("dot", "text"):
+        raise ValueError(f"unknown export format {format!r}; use dot, json or text")
+    by_height: dict[int, list[Root]] = {}
+    for r, g in h.nodes:
+        by_height.setdefault(g, []).append(r)
     if format == "dot":
         lines = ["digraph hasse {", "rankdir=BT;"]
-        by_height: dict[int, list[str]] = {}
-        for r, g in h.nodes:
-            by_height.setdefault(g, []).append(f'"{_coeffs(r)}"')
         for g in sorted(by_height):
-            lines.append("{ rank=same; " + " ".join(s + ";" for s in by_height[g]) + " }")
+            row = " ".join(f'"{_coeffs(r)}";' for r in by_height[g])
+            lines.append("{ rank=same; " + row + " }")
         for a, b, lab in h.edges:
             lines.append(
                 f'"{_coeffs(h.nodes[a][0])}" -> "{_coeffs(h.nodes[b][0])}" [label={lab}];'
             )
         lines.append("}")
-        return ("\n".join(lines) + "\n").encode()
-    if format == "text":
+    else:
         lines = []
-        by_height: dict[int, list[Root]] = {}
-        for r, g in h.nodes:
-            by_height.setdefault(g, []).append(r)
         for g in sorted(by_height):
             row = " ".join("(" + _coeffs(r) + ")" for r in by_height[g])
             lines.append(f"height {g}: {row}")
@@ -133,5 +132,4 @@ def export(h: HasseDiagram, format: str) -> bytes:
             lines.append(
                 f"({_coeffs(h.nodes[a][0])}) -{lab}-> ({_coeffs(h.nodes[b][0])})"
             )
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unknown export format {format!r}; use dot, json or text")
+    return ("\n".join(lines) + "\n").encode()

@@ -4,9 +4,11 @@ At the API edge a root is a tuple of integer coefficients over the simple
 roots, using Bourbaki node numbering inside each component.  Inside the
 package a root is its integer index into `RootSystem.roots`, and each root
 carries an exact integer key: its coefficients read as the digits of a
-mixed-radix number.  Construction closes the simple roots under the simple
-reflections and fills the reflection table by conjugation, so the reflection
-of one root in another is a table read and a pairing is one exact division.
+mixed-radix number.  Construction closes the simple roots of the whole
+block-diagonal Cartan matrix under the simple reflections, in one closure for
+every component at once, and fills the reflection table by conjugation, so
+the reflection of one root in another is a table read and a pairing is one
+exact division.
 All arithmetic is exact integer arithmetic.
 """
 
@@ -200,7 +202,7 @@ def _links(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
 def _close_simples(
     cartan: tuple[tuple[int, ...], ...],
 ) -> tuple[list[Root], list[tuple[Root, int, Root]]]:
-    """The positive roots of a component, and the steps that found them.
+    """The positive roots of a Cartan matrix, and the steps that found them.
 
     Closes the simple roots under the simple reflections, keeping the
     positive images.  Each root x after the simple roots is found by one step
@@ -214,9 +216,13 @@ def _close_simples(
     for v in roots:  # the loop also visits the roots found in it
         for i, link in enumerate(links):
             k = sum([c * v[j] for j, c in link])  # <v, alpha_i-check>
+            if not k:
+                # s_i fixes v; in a product this holds for every node outside
+                # v's component, so the tuple is not built for them
+                continue
             x = v[:i] + (v[i] - k,) + v[i + 1 :]
             # s_i maps every positive root except alpha_i to a positive root
-            if k and x[i] >= 0 and x not in seen:
+            if x[i] >= 0 and x not in seen:
                 seen.add(x)
                 roots.append(x)
                 steps.append((x, i, v))
@@ -243,42 +249,71 @@ class RootSystem:
     of every positive root into one int, positive root t's coefficient in
     byte t (little-endian), so a sum of columns adds the coefficients of all
     positive roots at once.  No byte of such a sum carries: it is at most the
-    height of a root, and `_build` refuses a type whose highest root reaches
-    height 256.
+    height of a root, and the constructor refuses a type whose highest root
+    reaches height 256.
 
     Coefficient tuples are the API edge: `roots`, `positive_roots`,
     `highest_roots` and `simple_roots`.
     """
 
-    def __init__(
-        self,
-        dtype: DiagramType,
-        cartan: tuple[tuple[int, ...], ...],
-        positive: list[Root],
-        steps: list[tuple[Root, int, Root]],
-        highest_roots: tuple[Root, ...],
-        component_of_node: tuple[int, ...],
-    ) -> None:
-        """positive: the positive roots; steps: (x, i, v) with x = s_i(v) for
-        every non-simple positive root x, each v a simple root or an earlier x."""
+    def __init__(self, dtype: DiagramType) -> None:
+        counts = [_root_count(c) for c in dtype.components]
+        if sum(counts) > MAX_ROOTS:
+            raise InvalidDiagramError(
+                f"{dtype} has {sum(counts)} roots, over the limit of {MAX_ROOTS}"
+            )
+        # a grade is one byte of a sum of packed columns, so it must stay below
+        # 256; the highest root has height |roots| / rank - 1 (the Coxeter
+        # number less one), and the closure below confirms it
+        tops = [count // c.rank - 1 for c, count in zip(dtype.components, counts)]
+        top = max(tops)
+        if top > 255:
+            raise InvalidDiagramError(
+                f"{dtype} has a root of height {top}, over the limit of 255"
+            )
         self.dtype = dtype
-        self.cartan = cartan
-        self.highest_roots = highest_roots
-        self.component_of_node = component_of_node
         n = dtype.total_rank
+        cartan = [[0] * n for _ in range(n)]
+        for (start, stop), c in zip(dtype.ranges(), dtype.components):
+            for i, row in enumerate(component_cartan(c.family, c.rank)):
+                cartan[start + i][start:stop] = row
+        self.cartan = cartan = tuple(map(tuple, cartan))
+        self.component_of_node = of_node = tuple(
+            ci for ci, c in enumerate(dtype.components) for _ in range(c.rank)
+        )
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
 
+        # <v, alpha_i-check> = 0 whenever v and alpha_i lie in different
+        # components, so no simple reflection leaves a component and one
+        # closure over all the simple roots closes each component in place
+        positive, steps = _close_simples(cartan)
         self.positive_roots = pos = tuple(sorted(positive))
+        comp = [of_node[next(j for j, c in enumerate(r) if c)] for r in pos]
+        self.component_of_root = tuple(comp[::-1] + comp)
+        highest = []
+        for ci, (c, count, h) in enumerate(zip(dtype.components, counts, tops)):
+            local = [r for r, k in zip(pos, comp) if k == ci]
+            if 2 * len(local) != count:
+                raise InvalidDiagramError(
+                    f"component {c} closed to {2 * len(local)} roots, expected {count}"
+                )
+            # the highest root of an irreducible system is its unique root of
+            # greatest height, which is |roots| / rank - 1
+            heights = [sum(r) for r in local]
+            if heights.count(h) != 1 or max(heights) != h:
+                raise InvalidDiagramError(
+                    f"component {c} has no unique highest root of height {h}"
+                )
+            highest.append(local[heights.index(h)])
+        self.highest_roots = tuple(highest)
+
         self.columns = tuple(int.from_bytes(bytes(c), "little") for c in zip(*pos))
         half = len(pos)
         self.roots = roots = tuple(tuple(-c for c in r) for r in reversed(pos)) + pos
         index = {r: i for i, r in enumerate(roots)}
-        comp = [component_of_node[next(j for j, c in enumerate(r) if c)] for r in pos]
-        self.component_of_root = tuple(comp[::-1] + comp)
 
-        top = max(sum(r) for r in highest_roots)
         self._weights = weights = tuple((2 * top + 3) ** j for j in range(n))
         keys = [sum(c * w for c, w in zip(r, weights)) for r in pos]
         self.keys = keys = tuple([-k for k in reversed(keys)] + keys)
@@ -313,69 +348,9 @@ class RootSystem:
         return f"RootSystem({self.dtype}, {len(self.roots)} roots)"
 
 
-@lru_cache(maxsize=None)
-def _build(dtype: DiagramType) -> RootSystem:
-    counts = [_root_count(c) for c in dtype.components]
-    if sum(counts) > MAX_ROOTS:
-        raise InvalidDiagramError(
-            f"{dtype} has {sum(counts)} roots, over the limit of {MAX_ROOTS}"
-        )
-    # a grade is one byte of a sum of packed columns, so it must stay below
-    # 256; the highest root has height |roots| / rank - 1 (the Coxeter number
-    # less one), and the closure below confirms it
-    top = max(count // c.rank - 1 for c, count in zip(dtype.components, counts))
-    if top > 255:
-        raise InvalidDiagramError(
-            f"{dtype} has a root of height {top}, over the limit of 255"
-        )
-    total = dtype.total_rank
-    cartan_rows = [[0] * total for _ in range(total)]
-    positive: list[Root] = []
-    steps: list[tuple[Root, int, Root]] = []
-    highest: list[Root] = []
-    comp_of: list[int] = []
-
-    for ci, ((start, stop), comp, count) in enumerate(
-        zip(dtype.ranges(), dtype.components, counts)
-    ):
-        C = component_cartan(comp.family, comp.rank)
-        for i in range(comp.rank):
-            for j in range(comp.rank):
-                cartan_rows[start + i][start + j] = C[i][j]
-        comp_of.extend([ci] * comp.rank)
-
-        local, local_steps = _close_simples(C)
-        if 2 * len(local) != count:
-            raise InvalidDiagramError(
-                f"component {comp} closed to {2 * len(local)} roots, expected {count}"
-            )
-
-        def pad(r: Root) -> Root:
-            return (0,) * start + r + (0,) * (total - stop)
-
-        positive.extend(map(pad, local))
-        steps.extend((pad(x), start + i, pad(v)) for x, i, v in local_steps)
-        # the highest root of an irreducible system is its unique root of
-        # greatest height, which is |roots| / rank - 1
-        heights = [sum(r) for r in local]
-        h = count // comp.rank - 1
-        if heights.count(h) != 1 or max(heights) != h:
-            raise InvalidDiagramError(
-                f"component {comp} has no unique highest root of height {h}"
-            )
-        highest.append(pad(local[heights.index(h)]))
-
-    return RootSystem(
-        dtype,
-        tuple(tuple(row) for row in cartan_rows),
-        positive,
-        steps,
-        tuple(highest),
-        tuple(comp_of),
-    )
+_build = lru_cache(maxsize=None)(RootSystem)
 
 
 def build_root_system(dtype: DiagramType) -> RootSystem:
     """Build (or fetch the cached copy of) the root system for a diagram type."""
     return _build(dtype)
-

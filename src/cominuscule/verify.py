@@ -264,15 +264,7 @@ class SweepReport(NamedTuple):
                 "total": self.total,
                 "passed": self.passed,
                 "failed": self.failed,
-                "mismatches": [
-                    {
-                        "dtype": m.dtype,
-                        "decoration": m.decoration,
-                        "kind": m.kind,
-                        "detail": m.detail,
-                    }
-                    for m in self.mismatches
-                ],
+                "mismatches": [m._asdict() for m in self.mismatches],
             },
             indent=2,
         )

@@ -189,10 +189,10 @@ def test_bad_spec_exits_2(capsys):
 def test_oversized_spec_exits_2_before_building(monkeypatch, capsys):
     import cominuscule.rootsys as rootsys
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("RootSystem.__init__ entered for an oversized spec")
+    def refuse(cartan):
+        raise AssertionError("closure entered for an oversized spec")
 
-    monkeypatch.setattr(rootsys.RootSystem, "__init__", refuse)
+    monkeypatch.setattr(rootsys, "_close_simples", refuse)
     assert main(["compute", "A100:" + "x" + "o" * 99]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: A100 has 10100 roots")

@@ -198,15 +198,30 @@ def symmetrizer(family: str, rank: int) -> tuple[int, ...]:
 
 
 @pytest.mark.parametrize(
-    "family,rank", ALL_IRREDUCIBLE + [("A", 20), ("B", 12), ("D", 12)]
+    "pairs",
+    [
+        pytest.param([p], id=f"{p[0]}-{p[1]}")
+        for p in ALL_IRREDUCIBLE + [("A", 20), ("B", 12), ("D", 12)]
+    ]
+    + [
+        pytest.param(pairs, id="x".join(f"{f}{r}" for f, r in pairs))
+        for pairs in (
+            [("A", 2), ("B", 2)],
+            [("G", 2), ("A", 1), ("A", 1)],
+            [("D", 4), ("A", 3)],
+            [("E", 6), ("C", 3)],
+        )
+    ],
 )
-def test_keyed_reflection_table_is_exact(family, rank):
+def test_keyed_reflection_table_is_exact(pairs):
     # every entry against beta - <beta, alpha-check> alpha in tuple arithmetic,
     # with <beta, alpha-check> = 2(beta, alpha)/(alpha, alpha) from the
-    # symmetrized Cartan form (x, y) = sum x_i d_i C_ij y_j
-    rs = build_root_system(diagram_type((family, rank)))
+    # symmetrized Cartan form (x, y) = sum x_i d_i C_ij y_j; a product's
+    # symmetrizer is its components' symmetrizers side by side, and the
+    # entries across components are checked too
+    rs = build_root_system(diagram_type(*pairs))
     roots = rs.roots
-    d, C = symmetrizer(family, rank), rs.cartan
+    d, C = sum((symmetrizer(*p) for p in pairs), ()), rs.cartan
     n = len(d)
     assert all(d[i] * C[i][j] == d[j] * C[j][i] for i in range(n) for j in range(n))
     refl = rs._refl
