@@ -8,8 +8,7 @@ mixed-radix number.  Construction closes the simple roots of the whole
 block-diagonal Cartan matrix under the simple reflections, in one closure for
 every component at once, and fills the reflection table by conjugation, so
 the reflection of one root in another is a table read and a pairing is one
-exact division.
-All arithmetic is exact integer arithmetic.
+exact division.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ Root = tuple[int, ...]
 # The largest root count a build accepts.  The reflection table is dense
 # m x m (a negative root shares its positive root's row), so this bounds a
 # build's time and memory: at the cap the table holds 2M references, 16 MB.
-# A40 has 1640 roots.
+# A count comes from the highest roots' marks, before any closure; A40 has 1640.
 MAX_ROOTS = 2000
 
 # Inclusive rank bounds for canonical (already normalized) components.
@@ -177,21 +176,22 @@ def component_cartan(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in C)
 
 
-_EXCEPTIONAL_ROOTS = {
-    ("E", 6): 72, ("E", 7): 126, ("E", 8): 240, ("F", 4): 48, ("G", 2): 12,
-}
-
-
-def _root_count(comp: Component) -> int:
-    """Number of roots of an irreducible component, in closed form."""
-    r = comp.rank
-    if comp.family == "A":
-        return r * (r + 1)
-    if comp.family in ("B", "C"):
-        return 2 * r * r
-    if comp.family == "D":
-        return 2 * r * (r - 1)
-    return _EXCEPTIONAL_ROOTS[comp.family, comp.rank]
+def _highest_root(comp: Component) -> Root:
+    """The highest root's coefficients, its marks, in Bourbaki numbering
+    (Bourbaki, *Lie Groups and Lie Algebras*, Plates I-IX; Kac, Table Aff 1)."""
+    return {
+        "A": (1,) * comp.rank,
+        "B": (1,) + (2,) * (comp.rank - 1),
+        "C": (2,) * (comp.rank - 1) + (1,),
+        "D": (1,) + (2,) * (comp.rank - 3) + (1, 1),
+        "E": {
+            6: (1, 2, 2, 3, 2, 1),
+            7: (2, 2, 3, 4, 3, 2, 1),
+            8: (2, 3, 4, 6, 5, 4, 3, 2),
+        }.get(comp.rank),
+        "F": (2, 3, 4, 2),
+        "G": (3, 2),
+    }[comp.family]
 
 
 def _links(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
@@ -253,20 +253,20 @@ class RootSystem:
     reaches height 256.
 
     Coefficient tuples are the API edge: `roots`, `positive_roots`,
-    `highest_roots` and `simple_roots`.
+    `highest_roots` (`_highest_root`'s marks, checked against the closure)
+    and `simple_roots`.
     """
 
     def __init__(self, dtype: DiagramType) -> None:
-        counts = [_root_count(c) for c in dtype.components]
+        thetas = [_highest_root(c) for c in dtype.components]
+        counts = [c.rank * (1 + sum(t)) for c, t in zip(dtype.components, thetas)]
         if sum(counts) > MAX_ROOTS:
             raise InvalidDiagramError(
                 f"{dtype} has {sum(counts)} roots, over the limit of {MAX_ROOTS}"
             )
         # a grade is one byte of a sum of packed columns, so it must stay below
-        # 256; the highest root has height |roots| / rank - 1 (the Coxeter
-        # number less one), and the closure below confirms it
-        tops = [count // c.rank - 1 for c, count in zip(dtype.components, counts)]
-        top = max(tops)
+        # 256; the greatest height is the sum of the highest root's marks
+        top = max(map(sum, thetas))
         if top > 255:
             raise InvalidDiagramError(
                 f"{dtype} has a root of height {top}, over the limit of 255"
@@ -284,6 +284,10 @@ class RootSystem:
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
+        self.highest_roots = highest = tuple(
+            (0,) * start + t + (0,) * (n - stop)
+            for (start, stop), t in zip(dtype.ranges(), thetas)
+        )
 
         # <v, alpha_i-check> = 0 whenever v and alpha_i lie in different
         # components, so no simple reflection leaves a component and one
@@ -292,32 +296,28 @@ class RootSystem:
         self.positive_roots = pos = tuple(sorted(positive))
         comp = [of_node[next(j for j, c in enumerate(r) if c)] for r in pos]
         self.component_of_root = tuple(comp[::-1] + comp)
-        highest = []
-        for ci, (c, count, h) in enumerate(zip(dtype.components, counts, tops)):
-            local = [r for r, k in zip(pos, comp) if k == ci]
-            if 2 * len(local) != count:
-                raise InvalidDiagramError(
-                    f"component {c} closed to {2 * len(local)} roots, expected {count}"
-                )
-            # the highest root of an irreducible system is its unique root of
-            # greatest height, which is |roots| / rank - 1
-            heights = [sum(r) for r in local]
-            if heights.count(h) != 1 or max(heights) != h:
-                raise InvalidDiagramError(
-                    f"component {c} has no unique highest root of height {h}"
-                )
-            highest.append(local[heights.index(h)])
-        self.highest_roots = tuple(highest)
-
         self.columns = tuple(int.from_bytes(bytes(c), "little") for c in zip(*pos))
         half = len(pos)
-        self.roots = roots = tuple(tuple(-c for c in r) for r in reversed(pos)) + pos
-        index = {r: i for i, r in enumerate(roots)}
+        self.roots = tuple(tuple(-c for c in r) for r in reversed(pos)) + pos
 
         self._weights = weights = tuple((2 * top + 3) ** j for j in range(n))
         keys = [sum(c * w for c, w in zip(r, weights)) for r in pos]
         self.keys = keys = tuple([-k for k in reversed(keys)] + keys)
         self.key_index = at = dict(zip(keys, range(2 * half)))
+        # the closure must match the table: each component's root count, and
+        # its highest root, the one positive root to which no simple root adds
+        # (Humphreys, Introduction to Lie Algebras §10.4)
+        for ci, (c, count, theta) in enumerate(zip(dtype.components, counts, highest)):
+            closed = 2 * comp.count(ci)
+            if closed != count:
+                raise InvalidDiagramError(
+                    f"component {c} closed to {closed} roots, expected {count}"
+                )
+            top_key = sum(m * w for m, w in zip(theta, weights))
+            if top_key not in at or any(top_key + w in at for w in weights):
+                raise InvalidDiagramError(
+                    f"component {c} does not have {theta} as its highest root"
+                )
 
         simple = []
         for link, w in zip(_links(cartan), weights):
@@ -331,12 +331,12 @@ class RootSystem:
             except KeyError:
                 raise InvalidDiagramError("a reflection left the root set") from None
             simple.append(tuple([2 * half - 1 - b for b in reversed(row)] + row))
-        refl = dict(zip(map(index.__getitem__, self.simple_roots), simple))
+        refl = dict(zip(self.simple_roots, simple))
         after = [itemgetter(*s) for s in simple]  # after[i](row) = row o s_i
         for x, i, v in steps:
             # s_x = s_i s_v s_i
-            refl[index[x]] = itemgetter(*after[i](refl[index[v]]))(simple[i])
-        rows = [refl[a] for a in range(half, 2 * half)]
+            refl[x] = itemgetter(*after[i](refl[v]))(simple[i])
+        rows = [refl[r] for r in pos]
         self._refl = tuple(rows[::-1] + rows)  # s_(-a) = s_a
 
     def pair(self, b: int, a: int) -> int:

@@ -1,5 +1,6 @@
 """Root system construction against closed forms and the Euclidean oracle."""
 
+import re
 from operator import add, sub
 
 import pytest
@@ -15,7 +16,7 @@ from cominuscule import (
     normalize_component,
 )
 from cominuscule import rootsys
-from cominuscule.rootsys import MAX_ROOTS, _build, component_cartan
+from cominuscule.rootsys import MAX_ROOTS, _build, _highest_root, component_cartan
 
 from conftest import coefficient_set
 
@@ -50,7 +51,38 @@ def test_positive_root_counts(family, rank):
 @pytest.mark.parametrize("family,rank", ALL_IRREDUCIBLE)
 def test_agrees_with_euclidean_model(family, rank):
     rs = build_root_system(diagram_type((family, rank)))
-    assert set(rs.roots) == coefficient_set(family, rank)
+    model = coefficient_set(family, rank)
+    assert set(rs.roots) == model
+    # the model's unique root of greatest height is the highest root, which
+    # the build reads from the marks table
+    top = max(map(sum, model))
+    assert [r for r in model if sum(r) == top] == [rs.highest_roots[0]]
+
+
+def test_highest_root_marks_give_the_root_count_at_every_rank():
+    # |roots| = rank (1 + sum of marks) for every canonical type the CLI
+    # accepts, with no build; tier-1 builds few types above rank 8
+    types = [(f, r) for r in range(1, 46) for f in rootsys._canonical_families(r)]
+    assert len(types) == 179
+    for family, rank in types:
+        theta = _highest_root(Component(family, rank))
+        assert len(theta) == rank
+        assert rank * (1 + sum(theta)) == 2 * positive_count(family, rank)
+
+
+@pytest.mark.parametrize(
+    "marks,message",
+    [
+        # E7's last two marks swapped: the sum, and so the root count, is kept
+        ((2, 2, 3, 4, 3, 1, 2), "component E7 does not have (2, 2, 3, 4, 3, 1, 2)"),
+        # one mark raised by 1: the table now promises 7 (1 + 18) roots
+        ((2, 2, 3, 4, 3, 2, 2), "component E7 closed to 126 roots, expected 133"),
+    ],
+)
+def test_a_wrong_highest_root_fails_the_build(monkeypatch, marks, message):
+    monkeypatch.setattr(rootsys, "_highest_root", lambda comp: marks)
+    with pytest.raises(InvalidDiagramError, match=re.escape(message)):
+        _build.__wrapped__(diagram_type(("E", 7)))
 
 
 @pytest.mark.parametrize(
