@@ -11,7 +11,7 @@ decorated diagram against the table of irreducible cominuscule varieties.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ClassificationError,
@@ -27,11 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover
 Matrix = Sequence[Sequence[int]]
 
 
-def _validate_cartan(cartan: Matrix) -> int:
+def _validate_cartan(cartan: Matrix) -> list[list[int]]:
+    """Check the entries; return each node's neighbours, in column order."""
     n = len(cartan)
+    if any(len(row) != n for row in cartan):
+        raise ClassificationError("Cartan matrix is not square")
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(cartan):
-        if len(row) != n:
-            raise ClassificationError("Cartan matrix is not square")
         for j, v in enumerate(row):
             if not isinstance(v, int):
                 raise ClassificationError("Cartan matrix entries must be integers")
@@ -42,71 +44,72 @@ def _validate_cartan(cartan: Matrix) -> int:
                 raise ClassificationError("off-diagonal Cartan entries must be <= 0")
             elif (v == 0) != (cartan[j][i] == 0):
                 raise ClassificationError("Cartan zero pattern must be symmetric")
-    return n
+            elif v:
+                nbrs[i].append(j)
+    return nbrs
 
 
-def _component_nodes(cartan: Matrix, n: int) -> list[list[int]]:
+def _component_nodes(nbrs: list[list[int]]) -> list[list[int]]:
     seen: set[int] = set()
     comps: list[list[int]] = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp, stack = [], [start]
-        seen.add(start)
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if j not in seen and cartan[i][j] != 0:
-                    seen.add(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
+    for start in range(len(nbrs)):
+        if start not in seen:
+            comp = [start]
+            seen.add(start)
+            for i in comp:  # the loop also visits the nodes appended in it
+                for j in nbrs[i]:
+                    if j not in seen:
+                        seen.add(j)
+                        comp.append(j)
+            comps.append(sorted(comp))
     return comps
 
 
-def _signature(cartan: Matrix, nodes: Sequence[int], i: int) -> tuple:
-    """Sorted (row, column) pairs of node i's nonzero off-diagonal entries."""
-    return tuple(
-        sorted((cartan[i][j], cartan[j][i]) for j in nodes if j != i and cartan[i][j])
-    )
-
-
 @lru_cache(maxsize=None)
-def _standard(rank: int) -> tuple[tuple[str, Matrix, tuple], ...]:
-    """Per canonical family of this rank: its Cartan matrix and node signatures."""
+def _standard(rank: int) -> tuple[tuple[str, Matrix, tuple, tuple], ...]:
+    """Per canonical family of this rank: its Cartan matrix and, per Bourbaki
+    position, its earlier neighbours and its degree."""
     out = []
     for family in _canonical_families(rank):
         std = component_cartan(family, rank)
-        sigs = tuple(_signature(std, range(rank), b) for b in range(rank))
-        out.append((family, std, sigs))
+        nbrs = _validate_cartan(std)
+        earlier = tuple(tuple(a for a in row if a < b) for b, row in enumerate(nbrs))
+        out.append((family, std, earlier, tuple(map(len, nbrs))))
     return tuple(out)
 
 
-def _matches(
+def _labelings(
     cartan: Matrix,
-    options: list[list[int]],
+    nbrs: list[list[int]],
+    nodes: list[int],
     std: Matrix,
-    c: tuple[int, ...] = (),
-) -> list[tuple[int, ...]]:
-    """Every labeling extending c with cartan[c[i]][c[j]] == std[i][j], c[b]
-    from options[b].
+    earlier: tuple[tuple[int, ...], ...],
+    degree: tuple[int, ...],
+) -> Iterator[tuple[int, ...]]:
+    """Every labeling c of nodes with cartan[c[i]][c[j]] == std[i][j].
 
-    Backtracks in Bourbaki node order.  A node cannot be reused: its diagonal
-    entry 2 never equals an off-diagonal entry of std.  The search recurses
-    through this module-level function, not a closure, so it leaves no
-    reference cycle for the garbage collector.
+    Fills the Bourbaki positions in order from a stack of partial labelings.
+    Position b's candidates are the neighbours of the node at b's first
+    earlier neighbour, or all nodes where b has none (position 0, E's node
+    2).  One is kept if it has b's degree, is not placed yet, and matches std
+    both ways towards b's earlier neighbours.  A full labeling then has every
+    edge of std, and since each node has its position's degree, no other.
     """
-    b = len(c)
-    if b == len(options):
-        return [c]
-    found: list[tuple[int, ...]] = []
-    for v in options[b]:
-        if all(
-            cartan[v][c[a]] == std[b][a] and cartan[c[a]][v] == std[a][b]
-            for a in range(b)
-        ):
-            found.extend(_matches(cartan, options, std, c + (v,)))
-    return found
+    rank = len(std)
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        c = stack.pop()
+        b = len(c)
+        if b == rank:
+            yield c
+            continue
+        before = earlier[b]
+        for v in nbrs[c[before[0]]] if before else nodes:
+            if len(nbrs[v]) == degree[b] and v not in c and all(
+                cartan[v][c[a]] == std[b][a] and cartan[c[a]][v] == std[a][b]
+                for a in before
+            ):
+                stack.append(c + (v,))
 
 
 def recognize_labelings(
@@ -120,21 +123,16 @@ def recognize_labelings(
     reflection).  Callers that carry extra structure, like a decoration, pick
     among them.
     """
-    n = _validate_cartan(cartan)
-    if n == 0:
+    nbrs = _validate_cartan(cartan)
+    if not nbrs:
         raise ClassificationError("empty Cartan matrix")
     out: list[tuple[str, int, tuple[tuple[int, ...], ...]]] = []
-    for nodes in _component_nodes(cartan, n):
+    for nodes in _component_nodes(nbrs):
         rank = len(nodes)
-        sigs = [_signature(cartan, nodes, v) for v in nodes]
-        profile = sorted(sigs)
-        for family, std, std_sigs in _standard(rank):
-            if profile != sorted(std_sigs):
-                continue
-            options = [[v for v, s in zip(nodes, sigs) if s == t] for t in std_sigs]
-            valid = _matches(cartan, options, std)
+        for family, std, earlier, degree in _standard(rank):
+            valid = tuple(sorted(_labelings(cartan, nbrs, nodes, std, earlier, degree)))
             if valid:
-                out.append((family, rank, tuple(valid)))
+                out.append((family, rank, valid))
                 break
         else:
             raise ClassificationError(

@@ -78,6 +78,10 @@ def _permuted(cartan, perm):
         [("G", 2)],
         [("A", 2), ("C", 3)],
         [("B", 2), ("D", 4), ("A", 1)],
+        [("A", 44)],
+        [("B", 31)],
+        [("C", 31)],
+        [("D", 32)],
     ],
 )
 def test_recognition_is_permutation_invariant(pairs):
@@ -99,6 +103,18 @@ def test_recognition_is_permutation_invariant(pairs):
                 for i in range(rank):
                     for j in range(rank):
                         assert scrambled[nodes[i]][nodes[j]] == std[i][j]
+
+
+def test_long_chain_recognized_without_deep_recursion():
+    # the search keeps its partial labelings on a stack, so a rank far past
+    # the default recursion limit needs no change to that limit
+    perm = list(range(1500))
+    random.Random(1500).shuffle(perm)
+    ((family, rank, labelings),) = recognize_labelings(
+        _permuted(component_cartan("A", 1500), perm)
+    )
+    assert (family, rank) == ("A", 1500)
+    assert sorted(labelings) == sorted([tuple(perm), tuple(reversed(perm))])
 
 
 # Every canonical irreducible type up to rank 12.
@@ -284,6 +300,7 @@ def _star(*arms):
             [0, -1, -1, 2],
         ],  # A1 times a 3-cycle
         [[2, -1, 0], [-1, 2, -1]],  # not square
+        [[2, 0, -1], [0, 2, 0], []],  # ragged: a short row read by transpose
         [[2, -1], [-1, 1]],  # diagonal not 2
         [[2, 1], [1, 2]],  # positive off-diagonal
         [[2, 0], [-1, 2]],  # asymmetric zero pattern
