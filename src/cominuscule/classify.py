@@ -2,10 +2,11 @@
 
 recognize_labelings() names each component of an abstract Cartan matrix and
 lists every relabeling of its nodes into Bourbaki numbering.  Recognition
-matches each connected component against rootsys.component_cartan of every
-canonical type of its rank, so the shape of each Dynkin diagram is written
-down once, there.  classify_cominuscule() matches a one-cross-per-component
-decorated diagram against the table of irreducible cominuscule varieties.
+tries the canonical families of a component's rank in turn and matches the
+component against each family's edge list, rootsys._edges, so the shape of
+each Dynkin diagram is written down once, there.  classify_cominuscule()
+matches a one-cross-per-component decorated diagram against the table of
+irreducible cominuscule varieties.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import (
     InvalidDiagramError,
     NotCominusculeError,
 )
-from .rootsys import _canonical_families, component_cartan
+from .rootsys import _canonical_families, _edges
 
 if TYPE_CHECKING:  # pragma: no cover
     from .subsystem import DecoratedDiagram
@@ -66,36 +67,38 @@ def _component_nodes(nbrs: list[list[int]]) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _standard(rank: int) -> tuple[tuple[str, Matrix, tuple, tuple], ...]:
-    """Per canonical family of this rank: its Cartan matrix and, per Bourbaki
-    position, its earlier neighbours and its degree."""
-    out = []
-    for family in _canonical_families(rank):
-        std = component_cartan(family, rank)
-        nbrs = _validate_cartan(std)
-        earlier = tuple(tuple(a for a in row if a < b) for b, row in enumerate(nbrs))
-        out.append((family, std, earlier, tuple(map(len, nbrs))))
-    return tuple(out)
+def _standard(family: str, rank: int) -> tuple[tuple, tuple[int, ...]]:
+    """The family's diagram, read from its edges: per Bourbaki position b,
+    its earlier neighbours a as (a, C[b][a], C[a][b]); and per position, its
+    degree."""
+    earlier: list[list[tuple[int, int, int]]] = [[] for _ in range(rank)]
+    degree = [0] * rank
+    for i, j, cij, cji in _edges(family, rank):
+        earlier[j].append((i, cji, cij))
+        degree[i] += 1
+        degree[j] += 1
+    return tuple(map(tuple, earlier)), tuple(degree)
 
 
 def _labelings(
     cartan: Matrix,
     nbrs: list[list[int]],
     nodes: list[int],
-    std: Matrix,
-    earlier: tuple[tuple[int, ...], ...],
+    earlier: tuple[tuple[tuple[int, int, int], ...], ...],
     degree: tuple[int, ...],
 ) -> Iterator[tuple[int, ...]]:
-    """Every labeling c of nodes with cartan[c[i]][c[j]] == std[i][j].
+    """Every labeling c of nodes with cartan[c[i]][c[j]] == C[i][j], C the
+    standard matrix that `earlier` and `degree` describe.
 
     Fills the Bourbaki positions in order from a stack of partial labelings.
     Position b's candidates are the neighbours of the node at b's first
     earlier neighbour, or all nodes where b has none (position 0, E's node
-    2).  One is kept if it has b's degree, is not placed yet, and matches std
-    both ways towards b's earlier neighbours.  A full labeling then has every
-    edge of std, and since each node has its position's degree, no other.
+    2).  One is kept if it has b's degree, is not placed yet, and matches the
+    standard entries both ways towards b's earlier neighbours.  A full
+    labeling then has every standard edge, and since each node has its
+    position's degree, no other.
     """
-    rank = len(std)
+    rank = len(degree)
     stack: list[tuple[int, ...]] = [()]
     while stack:
         c = stack.pop()
@@ -104,10 +107,10 @@ def _labelings(
             yield c
             continue
         before = earlier[b]
-        for v in nbrs[c[before[0]]] if before else nodes:
+        for v in nbrs[c[before[0][0]]] if before else nodes:
             if len(nbrs[v]) == degree[b] and v not in c and all(
-                cartan[v][c[a]] == std[b][a] and cartan[c[a]][v] == std[a][b]
-                for a in before
+                cartan[v][c[a]] == cba and cartan[c[a]][v] == cab
+                for a, cba, cab in before
             ):
                 stack.append(c + (v,))
 
@@ -117,11 +120,11 @@ def recognize_labelings(
 ) -> tuple[tuple[str, int, tuple[tuple[int, ...], ...]], ...]:
     """Per component: family, rank, and every Bourbaki labeling that fits.
 
-    Each component is matched against component_cartan of every canonical
-    family of its rank.  Multiple labelings appear exactly when the diagram
-    has automorphisms (chain reversal, fork swap, D4 triality, E6
-    reflection).  Callers that carry extra structure, like a decoration, pick
-    among them.
+    Each component is matched against rootsys._edges of the canonical
+    families of its rank, one family at a time, until one fits.  Multiple
+    labelings appear exactly when the diagram has automorphisms (chain
+    reversal, fork swap, D4 triality, E6 reflection).  Callers that carry
+    extra structure, like a decoration, pick among them.
     """
     nbrs = _validate_cartan(cartan)
     if not nbrs:
@@ -129,8 +132,9 @@ def recognize_labelings(
     out: list[tuple[str, int, tuple[tuple[int, ...], ...]]] = []
     for nodes in _component_nodes(nbrs):
         rank = len(nodes)
-        for family, std, earlier, degree in _standard(rank):
-            valid = tuple(sorted(_labelings(cartan, nbrs, nodes, std, earlier, degree)))
+        for family in _canonical_families(rank):
+            earlier, degree = _standard(family, rank)
+            valid = tuple(sorted(_labelings(cartan, nbrs, nodes, earlier, degree)))
             if valid:
                 out.append((family, rank, valid))
                 break

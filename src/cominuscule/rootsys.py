@@ -122,6 +122,7 @@ def diagram_type(*pairs: tuple[str, int]) -> DiagramType:
     return DiagramType(tuple(normalize_component(f, r)[0] for f, r in pairs))
 
 
+@lru_cache(maxsize=None)
 def _canonical_families(rank: int) -> tuple[str, ...]:
     """Families with a canonical type of this rank; B1, C1, C2, D3 are aliases."""
     return tuple(
@@ -136,43 +137,32 @@ def _canonical_families(rank: int) -> tuple[str, ...]:
 # Cartan data
 # ---------------------------------------------------------------------------
 
+def _edges(family: str, rank: int) -> list[tuple[int, int, int, int]]:
+    """The Dynkin diagram in Bourbaki numbering (Bourbaki, *Lie Groups and
+    Lie Algebras*, Plates I-IX): (i, j, C[i][j], C[j][i]) per edge, i < j."""
+    chain = [(i, i + 1, -1, -1) for i in range(rank - 1)]
+    if family == "A":
+        return chain
+    if family == "B":  # last node is the short root: its row carries the -2
+        return chain[:-1] + [(rank - 2, rank - 1, -1, -2)]
+    if family == "C":
+        return chain[:-1] + [(rank - 2, rank - 1, -2, -1)]
+    if family == "D":
+        return chain[:-1] + [(rank - 3, rank - 1, -1, -1)]
+    if family == "E":
+        return [(0, 2, -1, -1), (1, 3, -1, -1)] + chain[2:]
+    if family == "F":
+        return [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)]  # nodes 3,4 short
+    if family == "G":
+        return [(0, 1, -3, -1)]  # node 1 short
+    raise InvalidDiagramError(f"unknown family {family!r}")
+
+
 def component_cartan(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix in Bourbaki numbering; entry [i][j] is <a_j, a_i-check>."""
     C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def edge(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
-        C[i][j] = cij
-        C[j][i] = cji
-
-    if family == "A":
-        for i in range(rank - 1):
-            edge(i, i + 1)
-    elif family == "B":
-        # last node is the short root: its row carries the -2
-        for i in range(rank - 2):
-            edge(i, i + 1)
-        edge(rank - 2, rank - 1, cij=-1, cji=-2)
-    elif family == "C":
-        for i in range(rank - 2):
-            edge(i, i + 1)
-        edge(rank - 2, rank - 1, cij=-2, cji=-1)
-    elif family == "D":
-        for i in range(rank - 2):
-            edge(i, i + 1)
-        edge(rank - 3, rank - 1)
-    elif family == "E":
-        edge(0, 2)
-        for i in range(2, rank - 1):
-            edge(i, i + 1)
-        edge(1, 3)
-    elif family == "F":
-        edge(0, 1)
-        edge(1, 2, cij=-1, cji=-2)  # nodes 3,4 short
-        edge(2, 3)
-    elif family == "G":
-        edge(0, 1, cij=-3, cji=-1)  # node 1 short
-    else:
-        raise InvalidDiagramError(f"unknown family {family!r}")
+    for i, j, cij, cji in _edges(family, rank):
+        C[i][j], C[j][i] = cij, cji
     return tuple(tuple(row) for row in C)
 
 

@@ -199,16 +199,10 @@ def _fixed_idx(rs: RootSystem, members: frozenset[int]) -> list[int]:
     return [2 * half - 1 - b for b in reversed(found)] + found
 
 
-def perpendicular_idx(sub: Subsystem) -> list[int]:
-    """Ambient grade-0 root indices fixed by the reflection in every member."""
-    grade = sub.graded.grade_of_root
-    return [b for b in _fixed_idx(sub.graded.rs, sub.members) if grade[b] == 0]
-
-
 def perpendicular_compacts(sub: Subsystem) -> frozenset[Root]:
     """Ambient grade-0 roots pairing to zero with every subsystem member."""
-    roots = sub.graded.rs.roots
-    return frozenset(roots[i] for i in perpendicular_idx(sub))
+    rs, grade = sub.graded.rs, sub.graded.grade_of_root
+    return frozenset(rs.roots[b] for b in _fixed_idx(rs, sub.members) if grade[b] == 0)
 
 
 def associated_diagram(graded: GradedRootSystem) -> DecoratedDiagram:

@@ -47,6 +47,7 @@ from .subsystem import (
     DecoratedDiagram,
     _fixed_idx,
     _make_subsystem,
+    associated_diagram,
     decorated_diagram,
     direct_subsystem,
     generate_subsystem,
@@ -384,8 +385,7 @@ def _check_input(
         dd2 = images.get(key)
         if dd2 is None:
             try:
-                graded2 = grade_diagram(dd.dtype, dd.decoration)
-                dd2 = decorated_diagram(generate_subsystem(graded2))
+                dd2 = associated_diagram(grade_diagram(dd.dtype, dd.decoration))
             except CominusculeError as exc:
                 fail("idempotence", str(exc))
                 return problems

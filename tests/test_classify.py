@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cominuscule.classify as classify
 from cominuscule import (
     ClassificationError,
     Decoration,
@@ -19,7 +20,12 @@ from cominuscule import (
     diagram_type,
     recognize_labelings,
 )
-from cominuscule.rootsys import build_root_system, component_cartan
+from cominuscule.rootsys import (
+    _canonical_families,
+    _edges,
+    build_root_system,
+    component_cartan,
+)
 from cominuscule.subsystem import DecoratedDiagram
 
 ALL_IRREDUCIBLE = (
@@ -134,6 +140,44 @@ def _automorphisms(family, rank):
     if family == "D":
         return 6 if rank == 4 else 2
     return 1
+
+
+def test_every_canonical_type_to_rank_45_is_recognized_as_itself():
+    # ranks 1-45 hold every type under the root cap; recognition reads the
+    # edge lists unchecked, so this is their check
+    for rank in range(1, 46):
+        for family in _canonical_families(rank):
+            assert all(i < j for i, j, _, _ in _edges(family, rank))
+            std = component_cartan(family, rank)
+            ((fam, r, labelings),) = recognize_labelings(std)
+            assert (fam, r) == (family, rank)
+            assert len(set(labelings)) == len(labelings) == _automorphisms(family, rank)
+            for c in labelings:
+                assert all(
+                    std[c[i]][c[j]] == std[i][j]
+                    for i in range(rank)
+                    for j in range(rank)
+                )
+
+
+@pytest.mark.parametrize("rank", [4, 50])
+def test_recognition_reads_only_the_family_it_finds(monkeypatch, rank):
+    # A is tried first and fits, so the B, C and D diagrams of the rank are
+    # never read
+    real = classify._standard
+    read = []
+
+    def spy(*args):
+        read.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classify, "_standard", spy)
+    perm = list(range(rank))
+    random.Random(rank).shuffle(perm)
+    scrambled = _permuted(component_cartan("A", rank), perm)
+    ((family, _, _),) = recognize_labelings(scrambled)
+    assert family == "A"
+    assert read == [("A", rank)]
 
 
 def _block_cartan(pairs):

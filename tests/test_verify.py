@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+import cominuscule.subsystem as subsystem
 import cominuscule.verify as verify
 from cominuscule import (
     ClassificationError,
@@ -20,10 +21,10 @@ from cominuscule import (
     expected_answer,
     generate_subsystem,
     grade_diagram,
+    perpendicular_compacts,
     sweep,
     sweep_inputs,
 )
-from cominuscule.subsystem import perpendicular_idx
 
 
 def expect(type_pair, dec):
@@ -354,7 +355,10 @@ def test_box_memo_keeps_no_box_whose_image_moves(monkeypatch):
                 return dd._replace(decoration=Decoration((False,)))
         return dd
 
+    # the box stage calls it from verify, an image's run from subsystem's
+    # associated_diagram
     monkeypatch.setattr(verify, "decorated_diagram", moving)
+    monkeypatch.setattr(subsystem, "decorated_diagram", moving)
     report = sweep(4)
     # a box whose image failed is not kept, so every input onto A1:x fails
     assert sorted((m.dtype, m.decoration) for m in report.mismatches) == onto_line
@@ -523,7 +527,8 @@ def test_memo_fixed_set_filtered_by_grade_is_each_inputs_perpendicular_set(
             sub = generate_subsystem(graded)
             grade = graded.grade_of_root
             kept = fixed_of[dtype, sub.members]
-            assert [b for b in kept if grade[b] == 0] == perpendicular_idx(sub)
+            perp = frozenset(graded.rs.roots[b] for b in kept if grade[b] == 0)
+            assert perp == perpendicular_compacts(sub)
             count += 1
     assert count == 1180
 
