@@ -80,6 +80,35 @@ def highest_component(
     return tuple(out)
 
 
+def _highest_walk(graded: GradedRootSystem) -> list[int]:
+    """The root indices of the pieces `highest_component` finds, ascending,
+    point components left out, by a walk down from each highest root.
+
+    The walk subtracts the non-crossed simple roots and keeps every key that
+    is a root's.  Every positive root b other than the highest root t of its
+    piece has a root b + a_j (Humphreys, *Introduction to Lie Algebras*
+    §10.4), and j is not crossed: t bounds every root coefficientwise and b
+    already has t's crossed coefficients.  So walking down from t reaches
+    the whole piece.  A simple root of another component never leads to a
+    root, and each step lowers the height by one, so the levels are
+    disjoint.  The walk reads keys and the decoration, never a grade.
+    """
+    rs = graded.rs
+    index, weights = rs.key_index, rs._weights
+    steps = [w for w, c in zip(weights, graded.decoration.crossed) if not c]
+    points = graded.point_components
+    level = [
+        sum([m * w for m, w in zip(theta, weights)])
+        for ci, theta in enumerate(rs.highest_roots)
+        if ci not in points
+    ]
+    reached = []
+    while level:
+        reached += level
+        level = {k - w for k in level for w in steps if k - w in index}
+    return sorted([index[k] for k in reached])
+
+
 def restrict(h: HasseDiagram, roots: frozenset[Root]) -> HasseDiagram:
     """Induced subdiagram on a subset of the nodes."""
     keep = [i for i, (r, _) in enumerate(h.nodes) if r in roots]

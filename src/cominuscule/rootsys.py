@@ -190,13 +190,15 @@ def _links(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
 
 
 def _close_simples(
-    cartan: tuple[tuple[int, ...], ...],
+    cartan: tuple[tuple[int, ...], ...], count: int
 ) -> tuple[list[Root], list[tuple[Root, int, Root]]]:
     """The positive roots of a Cartan matrix, and the steps that found them.
 
     Closes the simple roots under the simple reflections, keeping the
     positive images.  Each root x after the simple roots is found by one step
-    (x, i, v): x = s_i(v), where v was found before x.
+    (x, i, v): x = s_i(v), where v was found before x.  The closure stops
+    with an error as soon as it finds more than `count` roots, the positive
+    count the matrix should have: a matrix not of finite type never closes.
     """
     rank = len(cartan)
     roots = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
@@ -213,6 +215,10 @@ def _close_simples(
             x = v[:i] + (v[i] - k,) + v[i + 1 :]
             # s_i maps every positive root except alpha_i to a positive root
             if x[i] >= 0 and x not in seen:
+                if len(roots) == count:
+                    raise InvalidDiagramError(
+                        f"the closure found more than {count} positive roots"
+                    )
                 seen.add(x)
                 roots.append(x)
                 steps.append((x, i, v))
@@ -282,7 +288,7 @@ class RootSystem:
         # <v, alpha_i-check> = 0 whenever v and alpha_i lie in different
         # components, so no simple reflection leaves a component and one
         # closure over all the simple roots closes each component in place
-        positive, steps = _close_simples(cartan)
+        positive, steps = _close_simples(cartan, sum(counts) // 2)
         self.positive_roots = pos = tuple(sorted(positive))
         comp = [of_node[next(j for j, c in enumerate(r) if c)] for r in pos]
         self.component_of_root = tuple(comp[::-1] + comp)

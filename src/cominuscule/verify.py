@@ -19,8 +19,15 @@ every member.  The sweep keeps its record per (type, box), and every input
 rebuilds its own subsystem from the kept members for the checks that read its
 grades or its decoration.
 
+The box is checked against a source that reads no grade: the piece of the
+flag Hasse diagram holding the highest root.  Every input finds that piece
+by a walk over root indices down from the highest root; an input whose box
+record is computed fresh also compares its box with the `hasse` module's own
+diagram, so that module is checked once per (type, box).
+
 Both memos keep only results that came out without an error, so a failing
-output or box fails again on every input that has it.
+output or box fails again on every input that has it; a box record is kept
+once its box has also passed the `hasse` module's check.
 
 One `sweep` call deals its types to one bin per CPU it may use and takes
 the same path at any count: it forks a child per bin but the first, which
@@ -41,7 +48,7 @@ from typing import Iterable, NamedTuple
 from .classify import CominusculeId, classify_cominuscule, cominuscule_id
 from .errors import CominusculeError, InvalidDiagramError
 from .grading import Decoration, GradedRootSystem, box, grade_diagram
-from .hasse import flag_hasse, highest_component
+from .hasse import _highest_walk, flag_hasse, highest_component
 from .rootsys import DiagramType, Root, _canonical_families, diagram_type
 from .subsystem import (
     DecoratedDiagram,
@@ -316,8 +323,8 @@ def _check_input(
     kind.  Any other exception escaping the checks is recorded as a `crash`
     mismatch; it ends this input's checks, not the sweep.  `images` maps each
     output diagram already checked for idempotence to its pipeline image;
-    `boxes` maps each (type, box) whose box stage came out clean to its
-    record.
+    `boxes` maps each (type, box) whose box stage and `hasse` check came out
+    clean to its record.
     """
     problems: list[Mismatch] = []
 
@@ -332,12 +339,15 @@ def _check_input(
             return problems
 
         box_key = (dtype, tuple(graded.box_idx))
-        # fetch the box's record or compute it; a failure is not kept
-        record = boxes.get(box_key) or _box_stage(graded)
-        if len(record) == 2:  # a (kind, detail) failure
-            fail(*record)
-            return problems
-        boxes[box_key] = record
+        # fetch the box's record or compute it; it is kept below, once the
+        # box has also passed the hasse module's check
+        record = boxes.get(box_key)
+        fresh = record is None
+        if fresh:
+            record = _box_stage(graded)
+            if len(record) == 2:  # a (kind, detail) failure
+                fail(*record)
+                return problems
         members, dd, ids, fixed = record
         try:
             # the input's own subsystem: its grades, its trichotomy check
@@ -368,13 +378,25 @@ def _check_input(
             stray = {i for i, g in enumerate(grade) if g == 0} - perp - in_sub
             fail("compact-dichotomy", _root_list(graded.rs.roots[i] for i in stray))
 
-        high = highest_component(flag_hasse(graded), graded)
-        for b, h in zip(box(graded), high):
-            if b != h:
+        walk = _highest_walk(graded)
+        if walk != graded.box_idx:
+            roots = graded.rs.roots
+            fail(
+                "box-vs-hasse",
+                f"box {_root_list(roots[i] for i in graded.box_idx)}"
+                f" != walk from the highest roots {_root_list(roots[i] for i in walk)}",
+            )
+        if fresh:
+            # the hasse module's own diagram, once per box record
+            high = highest_component(flag_hasse(graded), graded)
+            apart = [(b, h) for b, h in zip(box(graded), high) if b != h]
+            for b, h in apart:
                 fail(
                     "box-vs-hasse",
                     f"box {_root_list(b)} != highest component {_root_list(h)}",
                 )
+            if not apart:
+                boxes[box_key] = record
 
         total_dim = sum(c.dimension for c in ids)
         box_size = len(graded.box_idx)

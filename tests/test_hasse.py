@@ -14,7 +14,10 @@ from cominuscule import (
     hasse,
     highest_component,
     restrict,
+    sweep_inputs,
 )
+from cominuscule.cli import parse_spec
+from cominuscule.hasse import _highest_walk
 from cominuscule.rootsys import build_root_system
 
 
@@ -172,6 +175,49 @@ def test_highest_piece_per_component_in_a_product():
     # Uncrossed factor keeps its whole positive poset in one piece.
     assert pieces[0] == frozenset({(1, 0, 0)})
     assert pieces[1] == box(graded)[1] == frozenset({(0, 1, 0), (0, 1, 1)})
+
+
+def _piece_indices(graded):
+    """highest_component's pieces but the point components', as one
+    ascending list of root indices."""
+    index = {r: i for i, r in enumerate(graded.rs.roots)}
+    pieces = highest_component(flag_hasse(graded), graded)
+    return sorted(
+        index[r]
+        for c, piece in enumerate(pieces)
+        if c not in graded.point_components
+        for r in piece
+    )
+
+
+def test_walk_finds_the_highest_pieces_on_every_rank_7_sweep_input():
+    count = 0
+    for dtype in sweep_inputs(7):
+        rank = dtype.total_rank
+        for bits in range(1, 1 << rank):
+            dec = Decoration(tuple(bool(bits >> i & 1) for i in range(rank)))
+            graded = grade_diagram(dtype, dec)
+            assert _highest_walk(graded) == _piece_indices(graded)
+            count += 1
+    assert count == 1180
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "E6xA2:xooooxox",
+        "D5xA3:xoooxoxo",
+        "D6xA2:oxoooxox",
+        "C4xA1xF4:oxoxxoxoo",
+        "A1xA2:oxo",  # a point component has no piece in the walk
+        "A44:oooxooooooooooooooooooooooooooooooooooooooxo",
+        "D32:oxooooooooooooooooooooooooooooox",
+    ],
+)
+def test_walk_finds_the_highest_pieces_on_products_and_at_the_root_cap(spec):
+    dtype, dec = parse_spec(spec)
+    graded = grade_diagram(dtype, dec, allow_point_factors=True)
+    assert _highest_walk(graded) == _piece_indices(graded) == graded.box_idx
 
 
 def test_quadric_box_is_a_chain():

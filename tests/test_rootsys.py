@@ -85,6 +85,23 @@ def test_a_wrong_highest_root_fails_the_build(monkeypatch, marks, message):
         _build.__wrapped__(diagram_type(("E", 7)))
 
 
+def test_a_closure_past_the_root_count_stops(monkeypatch):
+    # D9 with node 9 joined to node 6 instead of node 7 (Bourbaki numbering)
+    # has arms of 5, 2 and 1 nodes at node 6: the affine E8 shape, whose
+    # real roots never close; the marks promise D9's 72 positive roots
+    real = rootsys._edges
+
+    def affine(family, rank):
+        edges = real(family, rank)
+        if family == "D":
+            edges = edges[:-1] + [(rank - 4, rank - 1, -1, -1)]
+        return edges
+
+    monkeypatch.setattr(rootsys, "_edges", affine)
+    with pytest.raises(InvalidDiagramError, match="more than 72 positive roots"):
+        _build.__wrapped__(diagram_type(("D", 9)))
+
+
 @pytest.mark.parametrize(
     "family,rank,top",
     [

@@ -620,6 +620,59 @@ def test_sweep_counts_failed_inputs_not_mismatches(monkeypatch):
     ]
 
 
+def _a4_box():
+    """A4's box shared by every decoration crossing nodes 1 and 4, and those
+    decorations in sweep order."""
+    a4 = diagram_type(("A", 4))
+    box = tuple(grade_diagram(a4, Decoration.from_string("xoox")).box_idx)
+    sharing = [
+        str(d) for d in _decorations(a4) if tuple(grade_diagram(a4, d).box_idx) == box
+    ]
+    assert sharing == ["xoox", "xxox", "xoxx", "xxxx"]
+    return a4, box, sharing
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_walk_checks_every_input_of_a_kept_box(monkeypatch, cpus):
+    a4, _, _ = _a4_box()
+    target = (a4, Decoration.from_string("xxox"))
+    real = verify._highest_walk
+
+    def wrong_for_target(graded):
+        walk = real(graded)
+        if (graded.rs.dtype, graded.decoration) == target:
+            return walk[1:]
+        return walk
+
+    monkeypatch.setattr(verify, "_highest_walk", wrong_for_target)
+    report = _sweep_on(monkeypatch, cpus, 5)
+    # A4:xoox kept the box's record; A4:xxox, after it, still runs the walk
+    assert [(m.dtype, m.decoration, m.kind) for m in report.mismatches] == [
+        ("A4", "xxox", "box-vs-hasse")
+    ]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_box_memo_keeps_no_box_that_fails_the_hasse_check(monkeypatch, cpus):
+    a4, box, sharing = _a4_box()
+    real = verify.highest_component
+
+    def wrong_for_box(h, graded):
+        high = real(h, graded)
+        if (graded.rs.dtype, tuple(graded.box_idx)) == (a4, box):
+            return tuple(frozenset() for _ in high)
+        return high
+
+    monkeypatch.setattr(verify, "highest_component", wrong_for_box)
+    report = _sweep_on(monkeypatch, cpus, 5)
+    # the hasse check runs on a fresh record only, and a record that failed
+    # it is not kept, so every input with the box runs it and fails
+    assert [(m.dtype, m.decoration, m.kind) for m in report.mismatches] == [
+        ("A4", d, "box-vs-hasse") for d in sharing
+    ]
+    assert report.failed == len(sharing)
+
+
 @pytest.mark.parametrize("failure", ["fork", "child dies"])
 def test_split_sweep_runs_a_lost_bin_itself(monkeypatch, failure):
     serial = _sweep_on(monkeypatch, 1, 6)
