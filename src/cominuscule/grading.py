@@ -8,6 +8,8 @@ cross contributes nothing and is normally an input error.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import DecorationError
@@ -44,12 +46,14 @@ class Decoration(NamedTuple):
 class GradedRootSystem:
     """A root system together with the grading cut out by a decoration.
 
-    Per root index it holds the list `grade_of_root`, and the box as the
-    ascending list `box_idx`, both computed once here.  The grades of the
-    positive roots are one sum of the crossed nodes' packed columns, read
-    back a byte per root (a build refuses any height above 255, so no byte
-    carries), and are mirrored onto the negatives.  A component's top grade
-    is the grade of its highest root.
+    `positive_grades` holds the grade of positive root `half + p` in byte p:
+    one sum of the crossed nodes' packed columns, read back as bytes (a build
+    refuses any height above 255, so no byte carries).  A component's top
+    grade is the grade of its highest root, and the box, the ascending list
+    `box_idx` of root indices, is found by searching the bytes for each
+    component's top grade.  `grade_of_root`, the grade per root index with
+    the positive grades mirrored onto the negatives, is a list built from the
+    bytes on first read.
     """
 
     def __init__(
@@ -67,19 +71,31 @@ class GradedRootSystem:
         self.rs = rs
         self.decoration = decoration
 
-        crossed = decoration.crossed_nodes()
+        # the decoration's marks pick the crossed nodes' columns and
+        # coefficients
+        marks = decoration.crossed
         half = len(rs.positive_roots)
-        packed = sum([rs.columns[j] for j in crossed])
-        grade = list(packed.to_bytes(half, "little"))
-        self.grade_of_root = [-g for g in reversed(grade)] + grade
+        packed = sum(compress(rs.columns, marks))
+        self.positive_grades = grades = packed.to_bytes(half, "little")
         self.max_grades = top = tuple(
-            sum([r[j] for j in crossed]) for r in rs.highest_roots
+            [sum(compress(r, marks)) for r in rs.highest_roots]
         )
-        # point factors have top grade 0 and no box
+        # point factors have top grade 0 and no box; another component's roots
+        # may share a component's top grade, so with several the hits are
+        # filtered by component and the box sorted
         comp = rs.component_of_root
-        self.box_idx = [
-            i for i, g in enumerate(grade, half) if g and g == top[comp[i]]
-        ]
+        several = len(top) > 1
+        box = []
+        for ci, t in enumerate(top):
+            if t:
+                p = grades.find(t)
+                while p >= 0:
+                    if not several or comp[half + p] == ci:
+                        box.append(half + p)
+                    p = grades.find(t, p + 1)
+        if several:
+            box.sort()
+        self.box_idx = box
 
         self.point_components = tuple(i for i, m in enumerate(top) if m == 0)
         if self.point_components and not allow_point_factors:
@@ -90,6 +106,11 @@ class GradedRootSystem:
                 f"component(s) {names} carry no cross; enable point-factor"
                 " dropping to ignore them"
             )
+
+    @cached_property
+    def grade_of_root(self) -> list[int]:
+        grade = list(self.positive_grades)
+        return [-g for g in reversed(grade)] + grade
 
 
 def grade_diagram(

@@ -105,7 +105,7 @@ def _highest_walk(graded: GradedRootSystem) -> list[int]:
     reached = []
     while level:
         reached += level
-        level = {k - w for k in level for w in steps if k - w in index}
+        level = {d for k in level for w in steps if (d := k - w) in index}
     return sorted([index[k] for k in reached])
 
 

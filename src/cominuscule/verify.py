@@ -15,9 +15,18 @@ Many inputs of one type also share a box, the set of top-grade roots.  The
 box stage reads the root system and the box: the two subsystem routes, their
 comparison, the decorated diagram, which crosses the simple roots in the box,
 the classification and the fixed set, the roots fixed by the reflection in
-every member.  The sweep keeps its record per (type, box), and every input
-rebuilds its own subsystem from the kept members for the checks that read its
-grades or its decoration.
+every member.  The sweep keeps its record per (type, box): the members, the
+decorated diagram and the fixed set, each member's and each fixed root's
+offset into the input's packed positive grades (a negative root reads its
+positive's byte), whether the members and the fixed set are disjoint, and
+the classification's keys and total dimension.
+
+Every input runs the checks that read its grades or its decoration on its
+own grades, counted at the kept offsets: the grade trichotomy passes when
+every member's byte is 0 or the top grade (on a type of one component), and
+the compact dichotomy when the two sets are disjoint and their grade-0 roots
+number all the grade-0 roots.  Only when a count disagrees does the input
+rebuild its subsystem, or the dichotomy's sets, to name the roots that fail.
 
 The box is checked against a source that reads no grade: the piece of the
 flag Hasse diagram holding the highest root.  Every input finds that piece
@@ -43,6 +52,8 @@ from __future__ import annotations
 
 import os
 import time
+from itertools import islice, product
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .classify import CominusculeId, classify_cominuscule, cominuscule_id
@@ -224,7 +235,7 @@ def expected_answer(dtype: DiagramType, decoration: Decoration) -> ExpectedResul
     if len(dtype.components) != 1:
         raise ValueError("expected_answer takes irreducible types only")
     comp = dtype.components[0]
-    s = {i + 1 for i in decoration.crossed_nodes()}
+    s = {i for i, c in enumerate(decoration.crossed, 1) if c}
     if not s:
         raise ValueError("decoration must cross at least one node")
     if len(decoration.crossed) != comp.rank:
@@ -282,10 +293,23 @@ def _root_list(roots: Iterable[Root]) -> str:
     return "[" + ", ".join(str(r) for r in sorted(roots)) + "]"
 
 
-# a box's members, decorated diagram, classification and fixed set
-BoxRecord = tuple[
-    frozenset[int], DecoratedDiagram, tuple[CominusculeId, ...], list[int]
-]
+class BoxRecord(NamedTuple):
+    """What the sweep keeps of a box: everything below depends on the root
+    system and the box alone.
+
+    An offset is a root's place in `GradedRootSystem.positive_grades`: i -
+    half for a positive root i, half - 1 - i for a negative one, whose grade
+    is minus that byte.
+    """
+
+    members: frozenset[int]
+    dd: DecoratedDiagram
+    fixed: list[int]  # the roots fixed by the reflection in every member
+    member_offsets: tuple[int, ...]
+    fixed_offsets: tuple[int, ...]
+    disjoint: bool  # no member is in the fixed set
+    keys: tuple[tuple[str, int, int, int], ...]  # the classification's ids
+    total_dim: int  # and their total dimension
 
 
 def _box_stage(graded: GradedRootSystem) -> BoxRecord | tuple[str, str]:
@@ -308,7 +332,23 @@ def _box_stage(graded: GradedRootSystem) -> BoxRecord | tuple[str, str]:
         ids = classify_cominuscule(dd)
     except CominusculeError as exc:
         return "classify", str(exc)
-    return gen.members, dd, ids, _fixed_idx(graded.rs, gen.members)
+    members = gen.members
+    fixed = _fixed_idx(graded.rs, members)
+    half = len(graded.rs.positive_roots)
+
+    def offsets(idx: Iterable[int]) -> tuple[int, ...]:
+        return tuple([i - half if i >= half else half - 1 - i for i in idx])
+
+    return BoxRecord(
+        members,
+        dd,
+        fixed,
+        offsets(sorted(members)),
+        offsets(fixed),
+        members.isdisjoint(fixed),
+        tuple(c.key() for c in ids),
+        sum(c.dimension for c in ids),
+    )
 
 
 def _check_input(
@@ -325,6 +365,9 @@ def _check_input(
     output diagram already checked for idempotence to its pipeline image;
     `boxes` maps each (type, box) whose box stage and `hasse` check came out
     clean to its record.
+
+    The grade checks count the input's grades at the record's offsets; only
+    when a count disagrees does the check that names the failing roots run.
     """
     problems: list[Mismatch] = []
 
@@ -348,35 +391,50 @@ def _check_input(
             if len(record) == 2:  # a (kind, detail) failure
                 fail(*record)
                 return problems
-        members, dd, ids, fixed = record
-        try:
-            # the input's own subsystem: its grades, its trichotomy check
-            sub = _make_subsystem(graded, members)
-        except CominusculeError as exc:
-            fail("subsystem", str(exc))
-            return problems
+        members, dd = record.members, record.dd
+        # the input's grades at the members, then at the fixed set: the
+        # members hold each root with its negative, so there are at least two
+        positive_grades = graded.positive_grades
+        at = itemgetter(*record.member_offsets, *record.fixed_offsets)(positive_grades)
+        at_members = at[: len(record.member_offsets)]
+        # grade trichotomy on the input's own grades: every member's grade is
+        # -t, 0 or t
+        top = graded.max_grades
+        if len(top) != 1 or (
+            at_members.count(0) + at_members.count(top[0]) != len(at_members)
+        ):
+            try:
+                _make_subsystem(graded, members)
+            except CominusculeError as exc:
+                fail("subsystem", str(exc))
+                return problems
 
         expected = expected_answer(dtype, decoration)
-        got_keys = tuple(c.key() for c in ids)
+        got_keys = record.keys
         want_keys = tuple(c.key() for c in expected.expected)
         if got_keys != want_keys:
+            roots = graded.rs.roots
             fail(
                 "expected-answer",
                 f"pipeline {got_keys} != rule {expected.rule_source} {want_keys};"
-                f" subsystem roots {_root_list(sub.roots)}",
+                f" subsystem roots {_root_list(roots[i] for i in members)}",
             )
 
         if len(dd.dtype.components) != len(dtype.components):
             fail("component-count", f"{len(dd.dtype.components)} components out")
 
         # compact dichotomy: grade-0 roots split into members of the subsystem
-        # and roots perpendicular to all of it, the grade-0 roots of `fixed`
-        grade = graded.grade_of_root
-        perp = {b for b in fixed if grade[b] == 0}
-        in_sub = {i for i in members if grade[i] == 0}
-        if len(perp | in_sub) != grade.count(0) or perp & in_sub:
-            stray = {i for i, g in enumerate(grade) if g == 0} - perp - in_sub
-            fail("compact-dichotomy", _root_list(graded.rs.roots[i] for i in stray))
+        # and roots perpendicular to all of it, the grade-0 roots of the fixed
+        # set; a grade-0 positive root counts with its negative
+        if not record.disjoint or at.count(0) != 2 * positive_grades.count(0):
+            grade = graded.grade_of_root
+            perp = {b for b in record.fixed if grade[b] == 0}
+            in_sub = {i for i in members if grade[i] == 0}
+            if len(perp | in_sub) != grade.count(0) or perp & in_sub:
+                stray = {i for i, g in enumerate(grade) if g == 0} - perp - in_sub
+                fail(
+                    "compact-dichotomy", _root_list(graded.rs.roots[i] for i in stray)
+                )
 
         walk = _highest_walk(graded)
         if walk != graded.box_idx:
@@ -398,10 +456,9 @@ def _check_input(
             if not apart:
                 boxes[box_key] = record
 
-        total_dim = sum(c.dimension for c in ids)
         box_size = len(graded.box_idx)
-        if total_dim != box_size:
-            fail("dimension", f"classified dim {total_dim} != |box| {box_size}")
+        if record.total_dim != box_size:
+            fail("dimension", f"classified dim {record.total_dim} != |box| {box_size}")
 
         key = (dd.dtype, dd.decoration)
         dd2 = images.get(key)
@@ -453,11 +510,10 @@ def _sweep_types(types: Iterable[DiagramType]) -> dict[DiagramType, list[Mismatc
     for dtype in types:
         rank = dtype.total_rank
         found = results[dtype] = []
-        for bits in range(1, 1 << rank):
-            decoration = Decoration(
-                tuple(bool(bits >> i & 1) for i in range(rank))
-            )
-            found += _check_input(dtype, decoration, images, boxes)
+        # the decorations in the order of bits = 1 .. 2^rank - 1, node i
+        # crossed when bit i is set: product varies its last place fastest
+        for marks in islice(product((False, True), repeat=rank), 1, None):
+            found += _check_input(dtype, Decoration(marks[::-1]), images, boxes)
     return results
 
 

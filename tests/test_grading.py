@@ -193,3 +193,60 @@ def test_packed_grades_on_products(pairs):
     dtype = diagram_type(*pairs)
     for dec in _all_decorations(dtype):
         _assert_grades_are_coefficient_sums(dtype, dec)
+
+
+# ------------------------------------------------ box as an intersection
+
+
+def _assert_box_is_the_intersection_of_single_cross_boxes(dtype, decoration, single):
+    """box(S) = the intersection of box({j}) over the crossed j of each
+    component: a root reaches its component's top grade exactly when each
+    crossed coefficient equals the highest root's.  `single` caches the box
+    of each one-cross decoration of `dtype`."""
+    rank = dtype.total_rank
+    g = grade_diagram(dtype, decoration, allow_point_factors=True)
+    of_node = g.rs.component_of_node
+    want = set()
+    for ci in range(len(dtype.components)):
+        boxes = []
+        for j in range(rank):
+            if decoration.crossed[j] and of_node[j] == ci:
+                if j not in single:
+                    one = Decoration(tuple(i == j for i in range(rank)))
+                    single[j] = set(
+                        grade_diagram(dtype, one, allow_point_factors=True).box_idx
+                    )
+                boxes.append(single[j])
+        if boxes:
+            want |= set.intersection(*boxes)
+    assert g.box_idx == sorted(want)
+
+
+def test_box_is_the_intersection_of_single_cross_boxes():
+    count = 0
+    for dtype in sweep_inputs(8):
+        single = {}
+        for dec in _all_decorations(dtype):
+            if any(dec.crossed):
+                _assert_box_is_the_intersection_of_single_cross_boxes(
+                    dtype, dec, single
+                )
+                count += 1
+    assert count == 2455
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("A", 2), ("A", 1)],
+        [("B", 3), ("A", 2)],
+        [("G", 2), ("D", 4)],
+        [("A", 3), ("A", 3)],
+        [("C", 3), ("A", 1), ("F", 4)],
+    ],
+)
+def test_box_is_the_intersection_on_products_with_point_factors(pairs):
+    dtype = diagram_type(*pairs)
+    single = {}
+    for dec in _all_decorations(dtype):
+        _assert_box_is_the_intersection_of_single_cross_boxes(dtype, dec, single)

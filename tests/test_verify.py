@@ -14,6 +14,7 @@ from cominuscule import (
     DecorationError,
     InvalidDiagramError,
     associated_diagram,
+    build_root_system,
     classify_cominuscule,
     cominuscule_id,
     decorated_diagram,
@@ -531,6 +532,120 @@ def test_memo_fixed_set_filtered_by_grade_is_each_inputs_perpendicular_set(
             assert perp == perpendicular_compacts(sub)
             count += 1
     assert count == 1180
+
+
+# ------------------------------------------- the grade checks of a kept box
+
+
+def _b3_point_box():
+    """B3's box {highest root}, shared by every decoration crossing node 2,
+    and those decorations in sweep order.  The box's fixed set is {+-(1, 0,
+    0), +-(0, 0, 1)}; (1, 0, 0) has grade 0 on oxo and oxx, (0, 0, 1) on oxo
+    and xxo, and each has grade 1 on the other two."""
+    b3 = diagram_type(("B", 3))
+    box = tuple(grade_diagram(b3, Decoration.from_string("oxo")).box_idx)
+    sharing = [
+        str(d) for d in _decorations(b3) if tuple(grade_diagram(b3, d).box_idx) == box
+    ]
+    assert sharing == ["oxo", "xxo", "oxx", "xxx"]
+    return b3, box, sharing
+
+
+@pytest.mark.usefixtures("one_process")
+def test_fixed_set_missing_a_compact_root_fails_the_dichotomy(monkeypatch):
+    b3, box, _ = _b3_point_box()
+    alpha1 = build_root_system(b3).roots.index((1, 0, 0))
+    real = verify._fixed_idx
+
+    def dropping(rs, members):
+        fixed = real(rs, members)
+        if rs.dtype == b3 and box[0] in members:
+            fixed = [b for b in fixed if b != alpha1]
+        return fixed
+
+    monkeypatch.setattr(verify, "_fixed_idx", dropping)
+    calls = _count_direct(monkeypatch)
+    report = sweep(3)
+    # computed once, on oxo, and kept: oxx reads the kept record; on xxo and
+    # xxx the root has grade 1 and is not compact
+    assert calls.count((b3, box)) == 1
+    assert report.mismatches == tuple(
+        verify.Mismatch("B3", d, "compact-dichotomy", "[(1, 0, 0)]")
+        for d in ("oxo", "oxx")
+    )
+
+
+def test_box_record_offsets_read_each_roots_grade():
+    count = 0
+    for dtype in sweep_inputs(6):
+        for dec in _decorations(dtype):
+            graded = grade_diagram(dtype, dec)
+            record = verify._box_stage(graded)
+            grade, pg = graded.grade_of_root, graded.positive_grades
+            for idx, offsets in (
+                (sorted(record.members), record.member_offsets),
+                (record.fixed, record.fixed_offsets),
+            ):
+                assert [pg[p] for p in offsets] == [abs(grade[i]) for i in idx]
+            # a root is never fixed by its own reflection
+            assert record.disjoint
+            ids = classify_cominuscule(record.dd)
+            assert record.keys == tuple(c.key() for c in ids)
+            assert record.total_dim == sum(c.dimension for c in ids)
+            count += 1
+    assert count == 545
+
+
+def _with_member(record, graded, added):
+    """`record` with the root index `added` among its members; a record that
+    keeps each member's offset into the positive grades gets its offset too,
+    and one that is a plain tuple keeps the members first."""
+    members = record[0] | {added}
+    if not hasattr(record, "member_offsets"):
+        return (members, *record[1:])
+    half = len(graded.rs.positive_roots)
+    offset = added - half if added >= half else half - 1 - added
+    return record._replace(
+        members=members, member_offsets=record.member_offsets + (offset,)
+    )
+
+
+@pytest.mark.usefixtures("one_process")
+def test_kept_member_of_intermediate_grade_fails_the_trichotomy(monkeypatch):
+    b3, box, _ = _b3_point_box()
+    # a negative root, whose grade is minus a positive root's
+    added = build_root_system(b3).roots.index((0, 0, -1))
+    real = verify._box_stage
+    widened = []
+
+    def widening(graded):
+        record = real(graded)
+        if (graded.rs.dtype, tuple(graded.box_idx)) == (b3, box):
+            record = _with_member(record, graded, added)
+            widened.append(record[0])
+        return record
+
+    monkeypatch.setattr(verify, "_box_stage", widening)
+    report = sweep(3)
+    # oxo computes the record and keeps it, as the added root has grade 0
+    # there; it is also in the fixed set, which fails the dichotomy where it
+    # has grade 0
+    assert len(widened) == 1
+
+    def detail(dec):
+        graded = grade_diagram(b3, Decoration.from_string(dec))
+        with pytest.raises(ClassificationError) as info:
+            subsystem._make_subsystem(graded, widened[0])
+        return str(info.value)
+
+    assert detail("oxx") == "root (0, 0, -1) has grade -1, outside {-4, 0, 4}"
+    assert [tuple(m)[1:] for m in report.mismatches] == [
+        ("oxo", "compact-dichotomy", "[]"),
+        ("xxo", "compact-dichotomy", "[]"),
+        ("oxx", "subsystem", detail("oxx")),
+        ("xxx", "subsystem", detail("xxx")),
+    ]
+    assert {m.dtype for m in report.mismatches} == {"B3"}
 
 
 # ---------------------------------------------------- the split over processes
