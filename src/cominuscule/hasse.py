@@ -28,12 +28,14 @@ class HasseDiagram(NamedTuple):
 @lru_cache(maxsize=None)
 def _full_hasse(dtype: DiagramType) -> HasseDiagram:
     rs = build_root_system(dtype)
-    # the positive roots sort last; a stable sort by height keeps ties in
-    # root order
+    # the bytes of the sum of all columns are the positive roots' heights,
+    # and a stable sort by height keeps ties in root order; the positive
+    # roots sort last
     half = len(rs.positive_roots)
-    pos = sorted(range(half, 2 * half), key=lambda a: sum(rs.roots[a]))
+    height = sum(rs.columns).to_bytes(half, "little")
+    pos = sorted(range(half, 2 * half), key=lambda a: height[a - half])
     node_of = {a: t for t, a in enumerate(pos)}
-    nodes = tuple((rs.roots[a], sum(rs.roots[a])) for a in pos)
+    nodes = tuple((rs.roots[a], height[a - half]) for a in pos)
     # root + simple root i by its key, edges ordered by (from, label)
     keys, at = rs.keys, rs.key_index
     edges = []
@@ -91,17 +93,14 @@ def _highest_walk(graded: GradedRootSystem) -> list[int]:
     already has t's crossed coefficients.  So walking down from t reaches
     the whole piece.  A simple root of another component never leads to a
     root, and each step lowers the height by one, so the levels are
-    disjoint.  The walk reads keys and the decoration, never a grade.
+    disjoint.  The walk starts from the highest roots' keys the build checked
+    and reads keys and the decoration, never a grade.
     """
     rs = graded.rs
-    index, weights = rs.key_index, rs._weights
-    steps = [w for w, c in zip(weights, graded.decoration.crossed) if not c]
+    index = rs.key_index
+    steps = [w for w, c in zip(rs._weights, graded.decoration.crossed) if not c]
     points = graded.point_components
-    level = [
-        sum([m * w for m, w in zip(theta, weights)])
-        for ci, theta in enumerate(rs.highest_roots)
-        if ci not in points
-    ]
+    level = [k for ci, k in enumerate(rs._highest_keys) if ci not in points]
     reached = []
     while level:
         reached += level

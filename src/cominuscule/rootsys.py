@@ -6,7 +6,8 @@ package a root is its integer index into `RootSystem.roots`, and each root
 carries an exact integer key: its coefficients read as the digits of a
 mixed-radix number.  Construction closes the simple roots of the whole
 block-diagonal Cartan matrix under the simple reflections, in one closure for
-every component at once, and fills the reflection table by conjugation, so
+every component at once that computes each pairing once; the reflection
+table's simple rows come from those pairings, the others by conjugation, so
 the reflection of one root in another is a table read and a pairing is one
 exact division.  All arithmetic is exact integer arithmetic.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import InvalidDiagramError
 
@@ -184,30 +185,29 @@ def _highest_root(comp: Component) -> Root:
     }[comp.family]
 
 
-def _links(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
-    """Per Cartan row, its nonzero entries as (column, entry)."""
-    return [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
-
-
 def _close_simples(
     cartan: tuple[tuple[int, ...], ...], count: int
-) -> tuple[list[Root], list[tuple[Root, int, Root]]]:
-    """The positive roots of a Cartan matrix, and the steps that found them.
+) -> tuple[list[Root], list[list[int]], list[tuple[int, int]]]:
+    """The positive roots of a Cartan matrix in the order found, each one's
+    pairings <root, alpha_i-check>, and the steps that found them.
 
     Closes the simple roots under the simple reflections, keeping the
-    positive images.  Each root x after the simple roots is found by one step
-    (x, i, v): x = s_i(v), where v was found before x.  The closure stops
-    with an error as soon as it finds more than `count` roots, the positive
-    count the matrix should have: a matrix not of finite type never closes.
+    positive images.  The simple roots come first, in node order; each later
+    root is found by one step (i, d): it is s_i of the root found at d.  The
+    closure stops with an error as soon as it finds more than `count` roots,
+    the positive count the matrix should have: a matrix not of finite type
+    never closes.
     """
     rank = len(cartan)
     roots = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     seen = set(roots)
-    steps: list[tuple[Root, int, Root]] = []
-    links = _links(cartan)
-    for v in roots:  # the loop also visits the roots found in it
-        for i, link in enumerate(links):
-            k = sum([c * v[j] for j, c in link])  # <v, alpha_i-check>
+    pairings: list[list[int]] = []
+    steps: list[tuple[int, int]] = []
+    links = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
+    for d, v in enumerate(roots):  # the loop also visits the roots found in it
+        ks = [sum([c * v[j] for j, c in link]) for link in links]
+        pairings.append(ks)
+        for i, k in enumerate(ks):
             if not k:
                 # s_i fixes v; in a product this holds for every node outside
                 # v's component, so the tuple is not built for them
@@ -221,8 +221,8 @@ def _close_simples(
                     )
                 seen.add(x)
                 roots.append(x)
-                steps.append((x, i, v))
-    return roots, steps
+                steps.append((i, d))
+    return roots, pairings, steps
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +240,14 @@ class RootSystem:
     height of a highest root.  Every sum or difference of two roots, and
     every root plus a simple root, has all its digits in -(h+1)..h+1, so its
     key is exact and `key_index` (key -> root index) looks it up.
-    `_refl[a][b]` is the index of the reflection of root b in root a, and
-    `pair(b, a)` = <root_b, root_a-check>.  `columns[j]` packs coefficient j
-    of every positive root into one int, positive root t's coefficient in
-    byte t (little-endian), so a sum of columns adds the coefficients of all
-    positive roots at once.  No byte of such a sum carries: it is at most the
-    height of a root, and the constructor refuses a type whose highest root
-    reaches height 256.
+    `_refl[a][b]` is the index of the reflection of root b in root a,
+    `pair(b, a)` = <root_b, root_a-check> and `_highest_keys` holds the
+    highest roots' keys.  `columns[j]` packs coefficient j of every positive
+    root into one int, positive root t's coefficient in byte t
+    (little-endian), so a sum of columns adds the coefficients of all
+    positive roots at once.  No byte of such a sum carries: it is at most
+    the height of a root, and the constructor refuses a type whose highest
+    root reaches height 256.
 
     Coefficient tuples are the API edge: `roots`, `positive_roots`,
     `highest_roots` (`_highest_root`'s marks, checked against the closure)
@@ -288,8 +289,9 @@ class RootSystem:
         # <v, alpha_i-check> = 0 whenever v and alpha_i lie in different
         # components, so no simple reflection leaves a component and one
         # closure over all the simple roots closes each component in place
-        positive, steps = _close_simples(cartan, sum(counts) // 2)
-        self.positive_roots = pos = tuple(sorted(positive))
+        positive, pairings, steps = _close_simples(cartan, sum(counts) // 2)
+        order = sorted(range(len(positive)), key=positive.__getitem__)  # by root
+        self.positive_roots = pos = tuple([positive[d] for d in order])
         comp = [of_node[next(j for j, c in enumerate(r) if c)] for r in pos]
         self.component_of_root = tuple(comp[::-1] + comp)
         self.columns = tuple(int.from_bytes(bytes(c), "little") for c in zip(*pos))
@@ -300,6 +302,7 @@ class RootSystem:
         keys = [sum(c * w for c, w in zip(r, weights)) for r in pos]
         self.keys = keys = tuple([-k for k in reversed(keys)] + keys)
         self.key_index = at = dict(zip(keys, range(2 * half)))
+        self._highest_keys = tops = tuple(sum(map(mul, t, weights)) for t in highest)
         # the closure must match the table: each component's root count, and
         # its highest root, the one positive root to which no simple root adds
         # (Humphreys, Introduction to Lie Algebras §10.4)
@@ -309,30 +312,26 @@ class RootSystem:
                 raise InvalidDiagramError(
                     f"component {c} closed to {closed} roots, expected {count}"
                 )
-            top_key = sum(m * w for m, w in zip(theta, weights))
-            if top_key not in at or any(top_key + w in at for w in weights):
+            if tops[ci] not in at or any(tops[ci] + w in at for w in weights):
                 raise InvalidDiagramError(
                     f"component {c} does not have {theta} as its highest root"
                 )
 
-        simple = []
-        for link, w in zip(_links(cartan), weights):
-            # s_i(b) = b - <b, alpha_i-check> alpha_i, found by its key, and
-            # s_i(-b) = -s_i(b)
+        # s_i(b) = b - <b, alpha_i-check> alpha_i, found by its key with the
+        # closure's pairings read in root order, and s_i(-b) = -s_i(b)
+        rows = []
+        for w, ks in zip(weights, zip(*[pairings[d] for d in order])):
             try:
-                row = [
-                    at[key - w * sum([c * r[j] for j, c in link])]
-                    for r, key in zip(pos, keys[half:])
-                ]
+                row = [at[key - w * k] for key, k in zip(keys[half:], ks)]
             except KeyError:
                 raise InvalidDiagramError("a reflection left the root set") from None
-            simple.append(tuple([2 * half - 1 - b for b in reversed(row)] + row))
-        refl = dict(zip(self.simple_roots, simple))
-        after = [itemgetter(*s) for s in simple]  # after[i](row) = row o s_i
-        for x, i, v in steps:
-            # s_x = s_i s_v s_i
-            refl[x] = itemgetter(*after[i](refl[v]))(simple[i])
-        rows = [refl[r] for r in pos]
+            rows.append(tuple([2 * half - 1 - b for b in reversed(row)] + row))
+        # rows[i] is s_i's row, the simple roots being found first, and each
+        # step's root gets its row by conjugation: s_(s_i(v)) = s_i s_v s_i
+        after = [itemgetter(*s) for s in rows]  # after[i](row) = row o s_i
+        for i, d in steps:
+            rows.append(itemgetter(*after[i](rows[d]))(rows[i]))
+        rows = [rows[d] for d in order]
         self._refl = tuple(rows[::-1] + rows)  # s_(-a) = s_a
 
     def pair(self, b: int, a: int) -> int:

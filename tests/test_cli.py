@@ -189,7 +189,7 @@ def test_bad_spec_exits_2(capsys):
 def test_oversized_spec_exits_2_before_building(monkeypatch, capsys):
     import cominuscule.rootsys as rootsys
 
-    def refuse(cartan):
+    def refuse(*args):
         raise AssertionError("closure entered for an oversized spec")
 
     monkeypatch.setattr(rootsys, "_close_simples", refuse)

@@ -379,8 +379,8 @@ def test_largest_types_under_the_root_cap_have_height_at_most_61(family, rank, h
 def test_height_guard_fires_before_building(monkeypatch):
     monkeypatch.setattr(rootsys, "MAX_ROOTS", 10**6)
 
-    def no_closure(cartan):
-        raise AssertionError(f"closing a rank-{len(cartan)} component")
+    def no_closure(*args):
+        raise AssertionError(f"closing a rank-{len(args[0])} component")
 
     monkeypatch.setattr(rootsys, "_close_simples", no_closure)
     for pairs, height in (

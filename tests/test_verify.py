@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+from itertools import combinations
 
 import pytest
 
@@ -26,6 +27,7 @@ from cominuscule import (
     sweep,
     sweep_inputs,
 )
+from cominuscule.rootsys import _canonical_families
 
 
 def expect(type_pair, dec):
@@ -146,6 +148,54 @@ def test_expected_answer_rejects_wrong_length():
     dtype = diagram_type(("A", 3))
     with pytest.raises(ValueError):
         expected_answer(dtype, Decoration.from_string("xo"))
+
+
+# ------------------------------------------------ root-free rule checks
+
+
+def _diagram_automorphisms(family, rank):
+    """Node maps (1-based, an unlisted node is fixed) of A_r's reversal, D_r's
+    fork swap, D4's triality and E6's reflection."""
+    if family == "A" and rank > 1:
+        yield {j: rank + 1 - j for j in range(1, rank + 1)}
+    if family == "D":
+        yield {rank - 1: rank, rank: rank - 1}
+        if rank == 4:
+            yield {1: 3, 3: 4, 4: 1}
+    if family == "E" and rank == 6:
+        yield {1: 6, 6: 1, 3: 5, 5: 3}
+
+
+# (family, rank, most crosses): every decoration to rank 9, and the
+# decorations of A-D with at most two crosses at a few higher ranks
+RULE_SCOPES = [
+    (family, rank, rank) for rank in range(1, 10) for family in _canonical_families(rank)
+] + [(family, rank, 2) for family in "ABCD" for rank in (12, 20, 28, 40)]
+
+
+def test_rules_shrink_with_each_cross_and_respect_automorphisms():
+    # reads the rule tables alone, no root system.  The box is the positive
+    # roots b with b_k = theta_k at every crossed k, so one more cross cannot
+    # enlarge the answer; and a diagram automorphism maps a decoration to one
+    # with the same answer
+    violations = []
+    for family, rank, most in RULE_SCOPES:
+        rule = verify.FAMILY_RULES[family]
+        answer = {
+            frozenset(s): rule(rank, set(s))[0]
+            for k in range(1, min(most + 1, rank) + 1)
+            for s in combinations(range(1, rank + 1), k)
+        }
+        for s, cid in answer.items():
+            if len(s) > most:
+                continue
+            for j in range(1, rank + 1):
+                if j not in s and answer[s | {j}].dimension > cid.dimension:
+                    violations.append((f"{family}{rank}", sorted(s), "+", j))
+            for sigma in _diagram_automorphisms(family, rank):
+                if answer[frozenset(sigma.get(j, j) for j in s)].key() != cid.key():
+                    violations.append((f"{family}{rank}", sorted(s), sigma))
+    assert not violations, (len(violations), violations[:5])
 
 
 def test_sweep_inputs_families():
