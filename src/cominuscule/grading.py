@@ -35,10 +35,6 @@ class Decoration(NamedTuple):
                 )
         return Decoration(tuple(marks))
 
-    def crossed_nodes(self) -> tuple[int, ...]:
-        """0-based indices of the crossed nodes."""
-        return tuple(i for i, c in enumerate(self.crossed) if c)
-
     def __str__(self) -> str:
         return "".join("x" if c else "o" for c in self.crossed)
 
@@ -46,14 +42,13 @@ class Decoration(NamedTuple):
 class GradedRootSystem:
     """A root system together with the grading cut out by a decoration.
 
-    `positive_grades` holds the grade of positive root `half + p` in byte p:
-    one sum of the crossed nodes' packed columns, read back as bytes (a build
-    refuses any height above 255, so no byte carries).  A component's top
-    grade is the grade of its highest root, and the box, the ascending list
-    `box_idx` of root indices, is found by searching the bytes for each
-    component's top grade.  `grade_of_root`, the grade per root index with
-    the positive grades mirrored onto the negatives, is a list built from the
-    bytes on first read.
+    `grades` holds |grade| of root i in byte i: one sum of the crossed
+    nodes' packed columns, read back as bytes (a build refuses any height
+    above 255, so no byte carries).  A component's top grade is the grade of
+    its highest root, and the box, the ascending list `box_idx` of root
+    indices, is found by searching the positive roots' bytes for each
+    component's top grade.  `grade_of_root`, the signed grade per root
+    index, is a list built from the bytes on first read.
     """
 
     def __init__(
@@ -74,9 +69,8 @@ class GradedRootSystem:
         # the decoration's marks pick the crossed nodes' columns and
         # coefficients
         marks = decoration.crossed
-        half = len(rs.positive_roots)
         packed = sum(compress(rs.columns, marks))
-        self.positive_grades = grades = packed.to_bytes(half, "little")
+        self.grades = grades = packed.to_bytes(len(rs.roots), "little")
         self.max_grades = top = tuple(
             [sum(compress(r, marks)) for r in rs.highest_roots]
         )
@@ -84,15 +78,16 @@ class GradedRootSystem:
         # may share a component's top grade, so with several the hits are
         # filtered by component and the box sorted
         comp = rs.component_of_root
+        half = len(rs.positive_roots)
         several = len(top) > 1
         box = []
         for ci, t in enumerate(top):
             if t:
-                p = grades.find(t)
-                while p >= 0:
-                    if not several or comp[half + p] == ci:
-                        box.append(half + p)
-                    p = grades.find(t, p + 1)
+                i = grades.find(t, half)
+                while i >= 0:
+                    if not several or comp[i] == ci:
+                        box.append(i)
+                    i = grades.find(t, i + 1)
         if several:
             box.sort()
         self.box_idx = box
@@ -109,8 +104,9 @@ class GradedRootSystem:
 
     @cached_property
     def grade_of_root(self) -> list[int]:
-        grade = list(self.positive_grades)
-        return [-g for g in reversed(grade)] + grade
+        grade = list(self.grades)
+        half = len(grade) // 2
+        return [-g for g in grade[:half]] + grade[half:]
 
 
 def grade_diagram(

@@ -28,14 +28,14 @@ class HasseDiagram(NamedTuple):
 @lru_cache(maxsize=None)
 def _full_hasse(dtype: DiagramType) -> HasseDiagram:
     rs = build_root_system(dtype)
-    # the bytes of the sum of all columns are the positive roots' heights,
+    # byte a of the sum of all columns is the height of root a, up to sign,
     # and a stable sort by height keeps ties in root order; the positive
     # roots sort last
     half = len(rs.positive_roots)
-    height = sum(rs.columns).to_bytes(half, "little")
-    pos = sorted(range(half, 2 * half), key=lambda a: height[a - half])
+    height = sum(rs.columns).to_bytes(len(rs.roots), "little")
+    pos = sorted(range(half, 2 * half), key=height.__getitem__)
     node_of = {a: t for t, a in enumerate(pos)}
-    nodes = tuple((rs.roots[a], height[a - half]) for a in pos)
+    nodes = tuple((rs.roots[a], height[a]) for a in pos)
     # root + simple root i by its key, edges ordered by (from, label)
     keys, at = rs.keys, rs.key_index
     edges = []

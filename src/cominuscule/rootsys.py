@@ -187,9 +187,10 @@ def _highest_root(comp: Component) -> Root:
 
 def _close_simples(
     cartan: tuple[tuple[int, ...], ...], count: int
-) -> tuple[list[Root], list[list[int]], list[tuple[int, int]]]:
+) -> tuple[list[Root], list[list[tuple[int, int]]], list[tuple[int, int]]]:
     """The positive roots of a Cartan matrix in the order found, each one's
-    pairings <root, alpha_i-check>, and the steps that found them.
+    nonzero pairings (i, <root, alpha_i-check>), and the steps that found
+    them.
 
     Closes the simple roots under the simple reflections, keeping the
     positive images.  The simple roots come first, in node order; each later
@@ -201,17 +202,22 @@ def _close_simples(
     rank = len(cartan)
     roots = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     seen = set(roots)
-    pairings: list[list[int]] = []
+    pairings: list[list[tuple[int, int]]] = []
     steps: list[tuple[int, int]] = []
-    links = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
+    # column j's nonzero entries (i, C[i][j])
+    links = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*cartan)]
     for d, v in enumerate(roots):  # the loop also visits the roots found in it
-        ks = [sum([c * v[j] for j, c in link]) for link in links]
+        # <v, alpha_i-check> = sum of C[i][j] v_j over v's support, so only a
+        # node on or next to the support can pair nonzero; s_i fixes v when
+        # the pairing is 0, so only the nonzero ones are kept
+        sums: dict[int, int] = {}
+        for j, c in enumerate(v):
+            if c:
+                for i, a in links[j]:
+                    sums[i] = sums.get(i, 0) + a * c
+        ks = [(i, k) for i, k in sorted(sums.items()) if k]
         pairings.append(ks)
-        for i, k in enumerate(ks):
-            if not k:
-                # s_i fixes v; in a product this holds for every node outside
-                # v's component, so the tuple is not built for them
-                continue
+        for i, k in ks:
             x = v[:i] + (v[i] - k,) + v[i + 1 :]
             # s_i maps every positive root except alpha_i to a positive root
             if x[i] >= 0 and x not in seen:
@@ -242,12 +248,12 @@ class RootSystem:
     key is exact and `key_index` (key -> root index) looks it up.
     `_refl[a][b]` is the index of the reflection of root b in root a,
     `pair(b, a)` = <root_b, root_a-check> and `_highest_keys` holds the
-    highest roots' keys.  `columns[j]` packs coefficient j of every positive
-    root into one int, positive root t's coefficient in byte t
-    (little-endian), so a sum of columns adds the coefficients of all
-    positive roots at once.  No byte of such a sum carries: it is at most
-    the height of a root, and the constructor refuses a type whose highest
-    root reaches height 256.
+    highest roots' keys.  `columns[j]` packs |coefficient j| of every root
+    into one int, root i's in byte i (little-endian; a negative root holds
+    its positive root's byte), so a sum of columns adds the coefficients of
+    all roots at once, up to sign.  No byte of such a sum carries: it is at
+    most the height of a root, and the constructor refuses a type whose
+    highest root reaches height 256.
 
     Coefficient tuples are the API edge: `roots`, `positive_roots`,
     `highest_roots` (`_highest_root`'s marks, checked against the closure)
@@ -294,7 +300,11 @@ class RootSystem:
         self.positive_roots = pos = tuple([positive[d] for d in order])
         comp = [of_node[next(j for j, c in enumerate(r) if c)] for r in pos]
         self.component_of_root = tuple(comp[::-1] + comp)
-        self.columns = tuple(int.from_bytes(bytes(c), "little") for c in zip(*pos))
+        # byte i of column j is |coefficient j| of root i: a negative root holds
+        # its positive root's byte
+        self.columns = tuple(
+            int.from_bytes(bytes(c[::-1] + c), "little") for c in zip(*pos)
+        )
         half = len(pos)
         self.roots = tuple(tuple(-c for c in r) for r in reversed(pos)) + pos
 
@@ -317,15 +327,19 @@ class RootSystem:
                     f"component {c} does not have {theta} as its highest root"
                 )
 
-        # s_i(b) = b - <b, alpha_i-check> alpha_i, found by its key with the
-        # closure's pairings read in root order, and s_i(-b) = -s_i(b)
-        rows = []
-        for w, ks in zip(weights, zip(*[pairings[d] for d in order])):
-            try:
-                row = [at[key - w * k] for key, k in zip(keys[half:], ks)]
-            except KeyError:
-                raise InvalidDiagramError("a reflection left the root set") from None
-            rows.append(tuple([2 * half - 1 - b for b in reversed(row)] + row))
+        # s_i(b) = b - <b, alpha_i-check> alpha_i, found by its key for each
+        # nonzero pairing the closure kept, and s_i(-b) = -s_i(b); every other
+        # positive root is fixed
+        fixed = list(range(half, 2 * half))
+        rows = [fixed[:] for _ in weights]
+        try:
+            for p, d in enumerate(order):
+                for i, k in pairings[d]:
+                    rows[i][p] = at[keys[half + p] - weights[i] * k]
+        except KeyError:
+            raise InvalidDiagramError("a reflection left the root set") from None
+        for i, row in enumerate(rows):  # in place, so each list goes at once
+            rows[i] = tuple([2 * half - 1 - b for b in reversed(row)] + row)
         # rows[i] is s_i's row, the simple roots being found first, and each
         # step's root gets its row by conjugation: s_(s_i(v)) = s_i s_v s_i
         after = [itemgetter(*s) for s in rows]  # after[i](row) = row o s_i

@@ -41,9 +41,6 @@ class Subsystem:
     def __hash__(self) -> int:
         return hash((self.graded, self.members))
 
-    def __repr__(self) -> str:
-        return f"Subsystem(graded={self.graded!r})"
-
     @cached_property
     def roots(self) -> frozenset[Root]:
         roots = self.graded.rs.roots

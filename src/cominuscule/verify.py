@@ -16,17 +16,17 @@ box stage reads the root system and the box: the two subsystem routes, their
 comparison, the decorated diagram, which crosses the simple roots in the box,
 the classification and the fixed set, the roots fixed by the reflection in
 every member.  The sweep keeps its record per (type, box): the members, the
-decorated diagram and the fixed set, each member's and each fixed root's
-offset into the input's packed positive grades (a negative root reads its
-positive's byte), whether the members and the fixed set are disjoint, and
-the classification's keys and total dimension.
+decorated diagram and the fixed set, whether the members and the fixed set
+are disjoint, and the classification's keys and total dimension.
 
 Every input runs the checks that read its grades or its decoration on its
-own grades, counted at the kept offsets: the grade trichotomy passes when
-every member's byte is 0 or the top grade (on a type of one component), and
-the compact dichotomy when the two sets are disjoint and their grade-0 roots
-number all the grade-0 roots.  Only when a count disagrees does the input
-rebuild its subsystem, or the dichotomy's sets, to name the roots that fail.
+own grades, its packed grade bytes read at the members and the fixed set,
+one byte per root index (a negative root reads its positive's byte): the
+grade trichotomy passes when every member's byte is 0 or the top grade (on a
+type of one component), and the compact dichotomy when the two sets are
+disjoint and their grade-0 roots number all the grade-0 roots.  Only when a
+count disagrees does the input rebuild its subsystem, or the dichotomy's
+sets, to name the roots that fail.
 
 The box is checked against a source that reads no grade: the piece of the
 flag Hasse diagram holding the highest root.  Every input finds that piece
@@ -295,18 +295,11 @@ def _root_list(roots: Iterable[Root]) -> str:
 
 class BoxRecord(NamedTuple):
     """What the sweep keeps of a box: everything below depends on the root
-    system and the box alone.
-
-    An offset is a root's place in `GradedRootSystem.positive_grades`: i -
-    half for a positive root i, half - 1 - i for a negative one, whose grade
-    is minus that byte.
-    """
+    system and the box alone."""
 
     members: frozenset[int]
     dd: DecoratedDiagram
     fixed: list[int]  # the roots fixed by the reflection in every member
-    member_offsets: tuple[int, ...]
-    fixed_offsets: tuple[int, ...]
     disjoint: bool  # no member is in the fixed set
     keys: tuple[tuple[str, int, int, int], ...]  # the classification's ids
     total_dim: int  # and their total dimension
@@ -334,17 +327,10 @@ def _box_stage(graded: GradedRootSystem) -> BoxRecord | tuple[str, str]:
         return "classify", str(exc)
     members = gen.members
     fixed = _fixed_idx(graded.rs, members)
-    half = len(graded.rs.positive_roots)
-
-    def offsets(idx: Iterable[int]) -> tuple[int, ...]:
-        return tuple([i - half if i >= half else half - 1 - i for i in idx])
-
     return BoxRecord(
         members,
         dd,
         fixed,
-        offsets(sorted(members)),
-        offsets(fixed),
         members.isdisjoint(fixed),
         tuple(c.key() for c in ids),
         sum(c.dimension for c in ids),
@@ -366,7 +352,7 @@ def _check_input(
     `boxes` maps each (type, box) whose box stage and `hasse` check came out
     clean to its record.
 
-    The grade checks count the input's grades at the record's offsets; only
+    The grade checks count the input's grades at the record's roots; only
     when a count disagrees does the check that names the failing roots run.
     """
     problems: list[Mismatch] = []
@@ -394,9 +380,9 @@ def _check_input(
         members, dd = record.members, record.dd
         # the input's grades at the members, then at the fixed set: the
         # members hold each root with its negative, so there are at least two
-        positive_grades = graded.positive_grades
-        at = itemgetter(*record.member_offsets, *record.fixed_offsets)(positive_grades)
-        at_members = at[: len(record.member_offsets)]
+        grades = graded.grades
+        at = itemgetter(*members, *record.fixed)(grades)
+        at_members = at[: len(members)]
         # grade trichotomy on the input's own grades: every member's grade is
         # -t, 0 or t
         top = graded.max_grades
@@ -425,8 +411,8 @@ def _check_input(
 
         # compact dichotomy: grade-0 roots split into members of the subsystem
         # and roots perpendicular to all of it, the grade-0 roots of the fixed
-        # set; a grade-0 positive root counts with its negative
-        if not record.disjoint or at.count(0) != 2 * positive_grades.count(0):
+        # set
+        if not record.disjoint or at.count(0) != grades.count(0):
             grade = graded.grade_of_root
             perp = {b for b in record.fixed if grade[b] == 0}
             in_sub = {i for i in members if grade[i] == 0}

@@ -28,7 +28,6 @@ def p_grade(g, root):
 def test_decoration_parsing():
     d = Decoration.from_string("xoox")
     assert d.crossed == (True, False, False, True)
-    assert d.crossed_nodes() == (0, 3)
     assert str(d) == "xoox"
     with pytest.raises(DecorationError):
         Decoration.from_string("xo?o")
@@ -163,9 +162,11 @@ def _all_decorations(dtype):
 
 def _assert_grades_are_coefficient_sums(dtype, decoration):
     g = grade_diagram(dtype, decoration, allow_point_factors=True)
-    crossed = decoration.crossed_nodes()
+    crossed = [j for j, c in enumerate(decoration.crossed) if c]
     want = [sum(r[j] for j in crossed) for r in g.rs.roots]
     assert g.grade_of_root == want
+    # byte i of the packed grades is |grade| of root i, negative roots included
+    assert list(g.grades) == [abs(x) for x in want]
     # the box: positive roots at their component's top grade, if above 0
     top = [sum(r[j] for j in crossed) for r in g.rs.highest_roots]
     comp = g.rs.component_of_root
@@ -187,9 +188,17 @@ def test_packed_grades_on_every_sweep_input():
 
 @pytest.mark.parametrize(
     "pairs",
-    [[("A", 1), ("G", 2)], [("B", 3), ("A", 2)], [("D", 4), ("A", 1), ("A", 1)]],
+    [
+        [("A", 1), ("G", 2)],
+        [("B", 3), ("A", 2)],
+        [("D", 4), ("A", 1), ("A", 1)],
+        [("A", 3), ("A", 3)],
+        [("A", 2), ("B", 2)],
+    ],
 )
 def test_packed_grades_on_products(pairs):
+    # every decoration, so each factor crossed and a crossless factor under
+    # allow_point_factors among them
     dtype = diagram_type(*pairs)
     for dec in _all_decorations(dtype):
         _assert_grades_are_coefficient_sums(dtype, dec)

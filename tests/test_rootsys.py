@@ -369,11 +369,10 @@ def test_largest_types_under_the_root_cap_have_height_at_most_61(family, rank, h
         _build.__wrapped__(diagram_type((family, rank + 1)))
     rs = _build.__wrapped__(diagram_type((family, rank)))
     assert max(sum(r) for r in rs.highest_roots) == height <= 61
-    # crossing every node grades each positive root by its height, one byte
-    # per root
-    half = len(rs.positive_roots)
-    heights = list(sum(rs.columns).to_bytes(half, "little"))
-    assert heights == [sum(r) for r in rs.positive_roots]
+    # crossing every node grades each root by its height up to sign, byte i
+    # for root i
+    heights = list(sum(rs.columns).to_bytes(len(rs.roots), "little"))
+    assert heights == [abs(sum(r)) for r in rs.roots]
 
 
 def test_height_guard_fires_before_building(monkeypatch):

@@ -3,7 +3,7 @@
 import json
 import os
 import threading
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 
@@ -166,35 +166,40 @@ def _diagram_automorphisms(family, rank):
         yield {1: 6, 6: 1, 3: 5, 5: 3}
 
 
-# (family, rank, most crosses): every decoration to rank 9, and the
-# decorations of A-D with at most two crosses at a few higher ranks
-RULE_SCOPES = [
-    (family, rank, rank) for rank in range(1, 10) for family in _canonical_families(rank)
-] + [(family, rank, 2) for family in "ABCD" for rank in (12, 20, 28, 40)]
-
-
-def test_rules_shrink_with_each_cross_and_respect_automorphisms():
-    # reads the rule tables alone, no root system.  The box is the positive
-    # roots b with b_k = theta_k at every crossed k, so one more cross cannot
-    # enlarge the answer; and a diagram automorphism maps a decoration to one
-    # with the same answer
+def rule_violations(family, rank, most):
+    """Where the rule table of `family` at `rank` breaks a root-free check,
+    among the decorations with at most `most` crosses.  It reads the rule
+    table alone, no root system.  The box is the positive roots b with
+    b_k = theta_k at every crossed k, so one more cross cannot enlarge the
+    answer; and a diagram automorphism maps a decoration to one with the same
+    answer."""
+    rule = verify.FAMILY_RULES[family]
+    answer = {
+        frozenset(s): rule(rank, set(s))[0]
+        for k in range(1, min(most, rank) + 1)
+        for s in combinations(range(1, rank + 1), k)
+    }
     violations = []
-    for family, rank, most in RULE_SCOPES:
-        rule = verify.FAMILY_RULES[family]
-        answer = {
-            frozenset(s): rule(rank, set(s))[0]
-            for k in range(1, min(most + 1, rank) + 1)
-            for s in combinations(range(1, rank + 1), k)
-        }
-        for s, cid in answer.items():
-            if len(s) > most:
-                continue
+    for s, cid in answer.items():
+        if len(s) < most:
             for j in range(1, rank + 1):
                 if j not in s and answer[s | {j}].dimension > cid.dimension:
                     violations.append((f"{family}{rank}", sorted(s), "+", j))
-            for sigma in _diagram_automorphisms(family, rank):
-                if answer[frozenset(sigma.get(j, j) for j in s)].key() != cid.key():
-                    violations.append((f"{family}{rank}", sorted(s), sigma))
+        for sigma in _diagram_automorphisms(family, rank):
+            if answer[frozenset(sigma.get(j, j) for j in s)].key() != cid.key():
+                violations.append((f"{family}{rank}", sorted(s), sigma))
+    return violations
+
+
+# (family, rank, most crosses): every decoration to rank 11, and the
+# decorations of A-D with at most three crosses at a few higher ranks
+RULE_SCOPES = [
+    (family, rank, rank) for rank in range(1, 12) for family in _canonical_families(rank)
+] + [(family, rank, 3) for family in "ABCD" for rank in (12, 20, 28, 40)]
+
+
+def test_rules_shrink_with_each_cross_and_respect_automorphisms():
+    violations = [v for scope in RULE_SCOPES for v in rule_violations(*scope)]
     assert not violations, (len(violations), violations[:5])
 
 
@@ -625,18 +630,17 @@ def test_fixed_set_missing_a_compact_root_fails_the_dichotomy(monkeypatch):
     )
 
 
-def test_box_record_offsets_read_each_roots_grade():
+def test_box_record_reads_each_roots_grade_at_its_index():
     count = 0
     for dtype in sweep_inputs(6):
         for dec in _decorations(dtype):
             graded = grade_diagram(dtype, dec)
             record = verify._box_stage(graded)
-            grade, pg = graded.grade_of_root, graded.positive_grades
-            for idx, offsets in (
-                (sorted(record.members), record.member_offsets),
-                (record.fixed, record.fixed_offsets),
-            ):
-                assert [pg[p] for p in offsets] == [abs(grade[i]) for i in idx]
+            # |grade| of root i, the crossed coefficients' sum, is byte i
+            roots, packed = graded.rs.roots, graded.grades
+            for idx in (sorted(record.members), record.fixed):
+                want = [abs(sum(compress(roots[i], dec.crossed))) for i in idx]
+                assert [packed[i] for i in idx] == want
             # a root is never fixed by its own reflection
             assert record.disjoint
             ids = classify_cominuscule(record.dd)
@@ -644,20 +648,6 @@ def test_box_record_offsets_read_each_roots_grade():
             assert record.total_dim == sum(c.dimension for c in ids)
             count += 1
     assert count == 545
-
-
-def _with_member(record, graded, added):
-    """`record` with the root index `added` among its members; a record that
-    keeps each member's offset into the positive grades gets its offset too,
-    and one that is a plain tuple keeps the members first."""
-    members = record[0] | {added}
-    if not hasattr(record, "member_offsets"):
-        return (members, *record[1:])
-    half = len(graded.rs.positive_roots)
-    offset = added - half if added >= half else half - 1 - added
-    return record._replace(
-        members=members, member_offsets=record.member_offsets + (offset,)
-    )
 
 
 @pytest.mark.usefixtures("one_process")
@@ -671,8 +661,8 @@ def test_kept_member_of_intermediate_grade_fails_the_trichotomy(monkeypatch):
     def widening(graded):
         record = real(graded)
         if (graded.rs.dtype, tuple(graded.box_idx)) == (b3, box):
-            record = _with_member(record, graded, added)
-            widened.append(record[0])
+            record = record._replace(members=record.members | {added})
+            widened.append(record.members)
         return record
 
     monkeypatch.setattr(verify, "_box_stage", widening)
