@@ -7,45 +7,39 @@ the rules, and checks the structural invariants that tie the modules
 together.  Rules and pipeline share only the final table lookup, so
 agreement is meaningful.
 
-Many inputs share an output diagram, so one sweep keeps the pipeline's image
-of each output diagram it has checked for idempotence and runs the pipeline
-on a given output once.
-
-Many inputs of one type also share a box, the set of top-grade roots.  The
-box stage reads the root system and the box: the two subsystem routes, their
-comparison, the decorated diagram, which crosses the simple roots in the box,
-the classification and the fixed set, the roots fixed by the reflection in
-every member.  The sweep keeps its record per (type, box): the members, the
-decorated diagram and the fixed set, whether the members and the fixed set
-are disjoint, and the classification's keys and total dimension.
-
-Every input runs the checks that read its grades or its decoration on its
-own grades, its packed grade bytes read at the members and the fixed set,
-one byte per root index (a negative root reads its positive's byte): the
-grade trichotomy passes when every member's byte is 0 or the top grade (on a
-type of one component), and the compact dichotomy when the two sets are
-disjoint and their grade-0 roots number all the grade-0 roots.  Only when a
-count disagrees does the input rebuild its subsystem, or the dichotomy's
-sets, to name the roots that fail.
-
-The box is checked against a source that reads no grade: the piece of the
-flag Hasse diagram holding the highest root.  Every input finds that piece
-by a walk over root indices down from the highest root; an input whose box
-record is computed fresh also compares its box with the `hasse` module's own
-diagram, so that module is checked once per (type, box).
-
-Both memos keep only results that came out without an error, so a failing
-output or box fails again on every input that has it; a box record is kept
-once its box has also passed the `hasse` module's check.
+The sweep checks on two levels.  Per (type, box), the box being the set of
+top-grade roots, the box stage runs what the box decides: the two subsystem
+routes and their comparison, the decorated diagram, which crosses the simple
+roots in the box, and its classification; the component count; the box
+against the piece of the `hasse` module's flag diagram holding the highest
+root, a source that reads no grade; the classified dimension against |box|;
+and idempotence, the pipeline run once per output diagram on that diagram.
+Last it takes the fixed set, the roots fixed by the reflection in every
+member.  A box's record, the members, the fixed set, whether the two are
+disjoint and the classification's keys, is kept when its stage found
+nothing, and an output's image when it was computed without an error, so a
+failing box or output fails again on every input that has it.  Per input,
+the checks read its own grades and decoration, in this order: the grade
+trichotomy, the expected answer from the family's rule, the compact
+dichotomy, and the walk over root indices down from the highest root, which
+must reach exactly the box.  The grade checks read the input's packed grade
+bytes at the members and the fixed set, one byte per root index (a negative
+root reads its positive's byte): the trichotomy passes when every member's
+byte is 0 or the top grade (on a type of one component), and the dichotomy
+when the two sets are disjoint and their grade-0 roots number all the
+grade-0 roots.  Only when a count disagrees does the input rebuild its
+subsystem, or the dichotomy's sets, to name the roots that fail.  An input
+reports its own mismatches first, then those of a box stage it ran.
 
 One `sweep` call deals its types to one bin per CPU it may use and takes
 the same path at any count: it forks a child per bin but the first, which
 it sweeps itself, so with one bin it forks nothing.  Each pass over a share
-of the types owns both memos for that pass only and returns each type's
-mismatches.  Inputs of different types share nothing but the images memo,
-which keeps only clean results, so the report is the same for any number of
-processes, except for `elapsed`: the mismatches are merged in type order,
-and an input fails when it has at least one.
+of the types owns the images memo for that pass and a box memo per type,
+and returns each type's mismatches.  Inputs of different types share
+nothing but the images memo, which keeps only clean results, so the report
+is the same for any number of processes, except for `elapsed`: the
+mismatches are merged in type order, and an input fails when it has at
+least one.
 """
 
 from __future__ import annotations
@@ -294,66 +288,91 @@ def _root_list(roots: Iterable[Root]) -> str:
 
 
 class BoxRecord(NamedTuple):
-    """What the sweep keeps of a box: everything below depends on the root
-    system and the box alone."""
+    """What an input reads of its box's record: everything below depends on
+    the root system and the box alone."""
 
     members: frozenset[int]
-    dd: DecoratedDiagram
     fixed: list[int]  # the roots fixed by the reflection in every member
     disjoint: bool  # no member is in the fixed set
     keys: tuple[tuple[str, int, int, int], ...]  # the classification's ids
-    total_dim: int  # and their total dimension
 
 
-def _box_stage(graded: GradedRootSystem) -> BoxRecord | tuple[str, str]:
-    """The record of `graded`'s box, or the first (kind, detail) failure.
+def _box_stage(
+    graded: GradedRootSystem,
+    images: dict[tuple[DiagramType, Decoration], DecoratedDiagram],
+) -> tuple[BoxRecord | None, list[tuple[str, str]]]:
+    """Run the checks `graded`'s box decides; return its record and the
+    (kind, detail) failures, in check order.
 
-    The record depends on the root system and the box alone; only the
-    routes' trichotomy check reads `graded`'s grades, and that can only fail.
+    A failing subsystem route, route comparison or classification returns no
+    record and that failure alone.  Otherwise come the component count, the
+    box against the `hasse` module's highest component of this input's flag
+    diagram, the classified dimension against |box| and the idempotence of
+    the output diagram, whose image `images` keeps once it is computed
+    without an error; then the fixed set.  Only the routes' trichotomy check
+    reads `graded`'s grades beyond the box, and that can only fail.
     """
     try:
         gen = generate_subsystem(graded)
         direct = direct_subsystem(graded)
     except CominusculeError as exc:
-        return "subsystem", str(exc)
+        return None, [("subsystem", str(exc))]
     if gen.members != direct.members:
-        return "oracle", (
-            f"generated {_root_list(gen.roots)} != direct {_root_list(direct.roots)}"
-        )
+        detail = f"generated {_root_list(gen.roots)}"
+        return None, [("oracle", f"{detail} != direct {_root_list(direct.roots)}")]
     try:
         dd = decorated_diagram(gen)
         ids = classify_cominuscule(dd)
     except CominusculeError as exc:
-        return "classify", str(exc)
+        return None, [("classify", str(exc))]
+
+    failures = []
+    count = len(dd.dtype.components)
+    if count != len(graded.rs.dtype.components):
+        failures.append(("component-count", f"{count} components out"))
+    high = highest_component(flag_hasse(graded), graded)
+    for b, h in zip(box(graded), high):
+        if b != h:
+            detail = f"box {_root_list(b)} != highest component {_root_list(h)}"
+            failures.append(("box-vs-hasse", detail))
+    dim, size = sum(c.dimension for c in ids), len(graded.box_idx)
+    if dim != size:
+        failures.append(("dimension", f"classified dim {dim} != |box| {size}"))
+    key = (dd.dtype, dd.decoration)
+    image = images.get(key)
+    if image is None:
+        try:
+            image = images[key] = associated_diagram(grade_diagram(*key))
+        except CominusculeError as exc:
+            failures.append(("idempotence", str(exc)))
+    if image is not None and (image.dtype, image.decoration) != key:
+        failures.append(("idempotence", f"{dd} maps to {image}"))
+
     members = gen.members
     fixed = _fixed_idx(graded.rs, members)
-    return BoxRecord(
-        members,
-        dd,
-        fixed,
-        members.isdisjoint(fixed),
-        tuple(c.key() for c in ids),
-        sum(c.dimension for c in ids),
-    )
+    keys = tuple(c.key() for c in ids)
+    return BoxRecord(members, fixed, members.isdisjoint(fixed), keys), failures
 
 
 def _check_input(
     dtype: DiagramType,
     decoration: Decoration,
     images: dict[tuple[DiagramType, Decoration], DecoratedDiagram],
-    boxes: dict[tuple[DiagramType, tuple[int, ...]], BoxRecord],
+    boxes: dict[tuple[int, ...], BoxRecord],
 ) -> list[Mismatch]:
     """Run every check on one input; return what fails, in check order.
 
     A stage failing with a CominusculeError is a mismatch of that stage's
     kind.  Any other exception escaping the checks is recorded as a `crash`
-    mismatch; it ends this input's checks, not the sweep.  `images` maps each
-    output diagram already checked for idempotence to its pipeline image;
-    `boxes` maps each (type, box) whose box stage and `hasse` check came out
-    clean to its record.
+    mismatch; it ends this input's checks, not the sweep.  `boxes` maps each
+    box of this type whose box stage found nothing to its record; `images`
+    is the box stage's.
 
-    The grade checks count the input's grades at the record's roots; only
-    when a count disagrees does the check that names the failing roots run.
+    The input's own checks read its grades and its decoration: the grade
+    trichotomy, the expected answer, the compact dichotomy and the walk.
+    They count the input's grades at the record's roots; only when a count
+    disagrees does the check that names the failing roots run.  The
+    failures of a box stage this input ran come last.
     """
     problems: list[Mismatch] = []
 
@@ -367,17 +386,16 @@ def _check_input(
             fail("grading", str(exc))
             return problems
 
-        box_key = (dtype, tuple(graded.box_idx))
-        # fetch the box's record or compute it; it is kept below, once the
-        # box has also passed the hasse module's check
-        record = boxes.get(box_key)
-        fresh = record is None
-        if fresh:
-            record = _box_stage(graded)
-            if len(record) == 2:  # a (kind, detail) failure
-                fail(*record)
+        box_key = tuple(graded.box_idx)
+        record, failures = boxes.get(box_key), []
+        if record is None:
+            record, failures = _box_stage(graded, images)
+            if record is None:  # the routes or the classification failed
+                fail(*failures[0])
                 return problems
-        members, dd = record.members, record.dd
+            if not failures:
+                boxes[box_key] = record
+        members = record.members
         # the input's grades at the members, then at the fixed set: the
         # members hold each root with its negative, so there are at least two
         grades = graded.grades
@@ -406,9 +424,6 @@ def _check_input(
                 f" subsystem roots {_root_list(roots[i] for i in members)}",
             )
 
-        if len(dd.dtype.components) != len(dtype.components):
-            fail("component-count", f"{len(dd.dtype.components)} components out")
-
         # compact dichotomy: grade-0 roots split into members of the subsystem
         # and roots perpendicular to all of it, the grade-0 roots of the fixed
         # set
@@ -430,33 +445,8 @@ def _check_input(
                 f"box {_root_list(roots[i] for i in graded.box_idx)}"
                 f" != walk from the highest roots {_root_list(roots[i] for i in walk)}",
             )
-        if fresh:
-            # the hasse module's own diagram, once per box record
-            high = highest_component(flag_hasse(graded), graded)
-            apart = [(b, h) for b, h in zip(box(graded), high) if b != h]
-            for b, h in apart:
-                fail(
-                    "box-vs-hasse",
-                    f"box {_root_list(b)} != highest component {_root_list(h)}",
-                )
-            if not apart:
-                boxes[box_key] = record
-
-        box_size = len(graded.box_idx)
-        if record.total_dim != box_size:
-            fail("dimension", f"classified dim {record.total_dim} != |box| {box_size}")
-
-        key = (dd.dtype, dd.decoration)
-        dd2 = images.get(key)
-        if dd2 is None:
-            try:
-                dd2 = associated_diagram(grade_diagram(dd.dtype, dd.decoration))
-            except CominusculeError as exc:
-                fail("idempotence", str(exc))
-                return problems
-            images[key] = dd2
-        if (dd2.dtype, dd2.decoration) != key:
-            fail("idempotence", f"{dd} maps to {dd2}")
+        for kind, detail in failures:
+            fail(kind, detail)
     except Exception as exc:
         tb = exc.__traceback__
         while tb.tb_next is not None:
@@ -489,11 +479,12 @@ def sweep_inputs(max_rank: int) -> list[DiagramType]:
 
 def _sweep_types(types: Iterable[DiagramType]) -> dict[DiagramType, list[Mismatch]]:
     """Run every decoration of each type through the checks; return each
-    type's mismatches.  The memos live for this one call."""
+    type's mismatches.  The images memo lives for this one call, a box memo
+    for one type."""
     images = {}
-    boxes = {}
     results = {}
     for dtype in types:
+        boxes = {}
         rank = dtype.total_rank
         found = results[dtype] = []
         # the decorations in the order of bits = 1 .. 2^rank - 1, node i

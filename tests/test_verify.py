@@ -443,15 +443,17 @@ def _by_box(max_rank):
     """(dtype, box_idx) -> the pipeline's results and the box stage's record
     on each input with that box, every input run fresh."""
     groups = {}
+    images = {}
     for dtype in sweep_inputs(max_rank):
         for dec in _decorations(dtype):
             graded = grade_diagram(dtype, dec)
             sub = generate_subsystem(graded)
             dd = decorated_diagram(sub)
             keys = tuple(c.key() for c in classify_cominuscule(dd))
-            # the box stage's record: members, diagram, ids and fixed set
-            record = verify._box_stage(graded)
-            assert record[:2] == (sub.members, dd)
+            # the box stage's record: members, ids and fixed set
+            record, failures = verify._box_stage(graded, images)
+            assert failures == []
+            assert record.members == sub.members
             result = (
                 sub.members, dd.dtype, dd.decoration, dd.node_embedding, keys, record
             )
@@ -632,10 +634,12 @@ def test_fixed_set_missing_a_compact_root_fails_the_dichotomy(monkeypatch):
 
 def test_box_record_reads_each_roots_grade_at_its_index():
     count = 0
+    images = {}
     for dtype in sweep_inputs(6):
         for dec in _decorations(dtype):
             graded = grade_diagram(dtype, dec)
-            record = verify._box_stage(graded)
+            record, failures = verify._box_stage(graded, images)
+            assert failures == []
             # |grade| of root i, the crossed coefficients' sum, is byte i
             roots, packed = graded.rs.roots, graded.grades
             for idx in (sorted(record.members), record.fixed):
@@ -643,9 +647,9 @@ def test_box_record_reads_each_roots_grade_at_its_index():
                 assert [packed[i] for i in idx] == want
             # a root is never fixed by its own reflection
             assert record.disjoint
-            ids = classify_cominuscule(record.dd)
+            ids = classify_cominuscule(decorated_diagram(generate_subsystem(graded)))
             assert record.keys == tuple(c.key() for c in ids)
-            assert record.total_dim == sum(c.dimension for c in ids)
+            assert len(graded.box_idx) == sum(c.dimension for c in ids)
             count += 1
     assert count == 545
 
@@ -658,12 +662,12 @@ def test_kept_member_of_intermediate_grade_fails_the_trichotomy(monkeypatch):
     real = verify._box_stage
     widened = []
 
-    def widening(graded):
-        record = real(graded)
+    def widening(graded, images):
+        record, failures = real(graded, images)
         if (graded.rs.dtype, tuple(graded.box_idx)) == (b3, box):
             record = record._replace(members=record.members | {added})
             widened.append(record.members)
-        return record
+        return record, failures
 
     monkeypatch.setattr(verify, "_box_stage", widening)
     report = sweep(3)
@@ -826,6 +830,34 @@ def test_box_memo_keeps_no_box_that_fails_the_hasse_check(monkeypatch, cpus):
         ("A4", d, "box-vs-hasse") for d in sharing
     ]
     assert report.failed == len(sharing)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_box_memo_keeps_no_box_whose_stage_found_a_mismatch(monkeypatch, cpus):
+    a4, box, sharing = _a4_box()
+    # a valid answer of dimension 2, while the box holds one root
+    a2_xo = associated_diagram(
+        grade_diagram(diagram_type(("A", 2)), Decoration.from_string("xo"))
+    )
+    assert str(a2_xo) == "A2:xo" and len(box) == 1
+    real = verify.decorated_diagram
+
+    def wrong_for_box(sub):
+        if (sub.graded.rs.dtype, tuple(sub.graded.box_idx)) == (a4, box):
+            return a2_xo
+        return real(sub)
+
+    monkeypatch.setattr(verify, "decorated_diagram", wrong_for_box)
+    calls = _count_direct(monkeypatch)
+    report = _sweep_on(monkeypatch, cpus, 5)
+    assert [(m.dtype, m.decoration, m.kind) for m in report.mismatches] == [
+        ("A4", d, kind) for d in sharing for kind in ("expected-answer", "dimension")
+    ]
+    assert report.failed == len(sharing)
+    if cpus == 1:
+        # a box whose stage found a mismatch is not kept: each input with it
+        # runs the stage again
+        assert calls.count((a4, box)) == len(sharing)
 
 
 @pytest.mark.parametrize("failure", ["fork", "child dies"])
