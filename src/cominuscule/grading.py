@@ -3,12 +3,13 @@
 Crossing a set of nodes grades every root by the sum of its coefficients
 over the crossed nodes.  Per component, the roots sitting at the top grade
 form the box; their negatives are the minimal roots.  A component with no
-cross contributes nothing and is normally an input error.
+cross contributes nothing and is normally an input error.  The grading reads
+the root system's packed columns, lengths and indices, never a coefficient
+tuple; only `box` and `box_union` turn root indices into tuples, for callers.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -44,11 +45,15 @@ class GradedRootSystem:
 
     `grades` holds |grade| of root i in byte i: one sum of the crossed
     nodes' packed columns, read back as bytes (a build refuses any height
-    above 255, so no byte carries).  A component's top grade is the grade of
-    its highest root, and the box, the ascending list `box_idx` of root
-    indices, is found by searching the positive roots' bytes for each
-    component's top grade.  `grade_of_root`, the signed grade per root
-    index, is a list built from the bytes on first read.
+    above 255, so no byte carries).  It is the only copy of the grading: a
+    grade has its root's sign, and the readers ask only whether a grade is 0
+    or its component's top grade.  A component's top grade is the byte at
+    its highest root's index, and the box, the ascending list `box_idx` of
+    root indices, is found by searching the positive roots' bytes for each
+    component's top grade.  The negative half mirrors the positive half.  It
+    stays because the sweep counts grades at members and fixed roots of
+    both signs by root index; without it each count would first map a
+    negative index to its positive root's.
     """
 
     def __init__(
@@ -66,14 +71,11 @@ class GradedRootSystem:
         self.rs = rs
         self.decoration = decoration
 
-        # the decoration's marks pick the crossed nodes' columns and
-        # coefficients
-        marks = decoration.crossed
-        packed = sum(compress(rs.columns, marks))
+        # the decoration's marks pick the crossed nodes' columns; a highest
+        # root is positive, so its byte is its grade
+        packed = sum(compress(rs.columns, decoration.crossed))
         self.grades = grades = packed.to_bytes(len(rs.roots), "little")
-        self.max_grades = top = tuple(
-            [sum(compress(r, marks)) for r in rs.highest_roots]
-        )
+        self.max_grades = top = tuple([grades[i] for i in rs.highest_idx])
         # point factors have top grade 0 and no box; another component's roots
         # may share a component's top grade, so with several the hits are
         # filtered by component and the box sorted
@@ -101,12 +103,6 @@ class GradedRootSystem:
                 f"component(s) {names} carry no cross; enable point-factor"
                 " dropping to ignore them"
             )
-
-    @cached_property
-    def grade_of_root(self) -> list[int]:
-        grade = list(self.grades)
-        half = len(grade) // 2
-        return [-g for g in grade[:half]] + grade[half:]
 
 
 def grade_diagram(

@@ -93,14 +93,14 @@ def _highest_walk(graded: GradedRootSystem) -> list[int]:
     already has t's crossed coefficients.  So walking down from t reaches
     the whole piece.  A simple root of another component never leads to a
     root, and each step lowers the height by one, so the levels are
-    disjoint.  The walk starts from the highest roots' keys the build checked
+    disjoint.  The walk starts from the keys at the highest roots' indices
     and reads keys and the decoration, never a grade.
     """
     rs = graded.rs
     index = rs.key_index
     steps = [w for w, c in zip(rs._weights, graded.decoration.crossed) if not c]
     points = graded.point_components
-    level = [k for ci, k in enumerate(rs._highest_keys) if ci not in points]
+    level = [rs.keys[i] for ci, i in enumerate(rs.highest_idx) if ci not in points]
     reached = []
     while level:
         reached += level

@@ -247,13 +247,13 @@ class RootSystem:
     every root plus a simple root, has all its digits in -(h+1)..h+1, so its
     key is exact and `key_index` (key -> root index) looks it up.
     `_refl[a][b]` is the index of the reflection of root b in root a,
-    `pair(b, a)` = <root_b, root_a-check> and `_highest_keys` holds the
-    highest roots' keys.  `columns[j]` packs |coefficient j| of every root
-    into one int, root i's in byte i (little-endian; a negative root holds
-    its positive root's byte), so a sum of columns adds the coefficients of
-    all roots at once, up to sign.  No byte of such a sum carries: it is at
-    most the height of a root, and the constructor refuses a type whose
-    highest root reaches height 256.
+    `pair(b, a)` = <root_b, root_a-check> and `highest_idx` holds each
+    component's highest root as a root index.  `columns[j]` packs
+    |coefficient j| of every root into one int, root i's in byte i
+    (little-endian; a negative root holds its positive root's byte), so a
+    sum of columns adds the coefficients of all roots at once, up to sign.
+    No byte of such a sum carries: it is at most the height of a root, and
+    the constructor refuses a type whose highest root reaches height 256.
 
     Coefficient tuples are the API edge: `roots`, `positive_roots`,
     `highest_roots` (`_highest_root`'s marks, checked against the closure)
@@ -312,7 +312,7 @@ class RootSystem:
         keys = [sum(c * w for c, w in zip(r, weights)) for r in pos]
         self.keys = keys = tuple([-k for k in reversed(keys)] + keys)
         self.key_index = at = dict(zip(keys, range(2 * half)))
-        self._highest_keys = tops = tuple(sum(map(mul, t, weights)) for t in highest)
+        tops = [sum(map(mul, t, weights)) for t in highest]
         # the closure must match the table: each component's root count, and
         # its highest root, the one positive root to which no simple root adds
         # (Humphreys, Introduction to Lie Algebras §10.4)
@@ -326,6 +326,7 @@ class RootSystem:
                 raise InvalidDiagramError(
                     f"component {c} does not have {theta} as its highest root"
                 )
+        self.highest_idx = tuple([at[k] for k in tops])
 
         # s_i(b) = b - <b, alpha_i-check> alpha_i, found by its key for each
         # nonzero pairing the closure kept, and s_i(-b) = -s_i(b); every other

@@ -10,6 +10,7 @@ rest of the package is about.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .classify import recognize_labelings
@@ -97,15 +98,15 @@ class DecoratedDiagram(NamedTuple):
 def _make_subsystem(graded: GradedRootSystem, members: set[int]) -> Subsystem:
     """The subsystem on a set of root indices, checking the grade trichotomy."""
     rs = graded.rs
-    grade, top, comp = graded.grade_of_root, graded.max_grades, rs.component_of_root
+    grades, top, comp = graded.grades, graded.max_grades, rs.component_of_root
     # the error names the smallest bad root, whatever order the set iterates in
     bad = None
     for i in members:
-        t = top[comp[i]]
-        if grade[i] not in (-t, 0, t) and (bad is None or i < bad):
+        if grades[i] not in (0, top[comp[i]]) and (bad is None or i < bad):
             bad = i
     if bad is not None:
-        g, t = grade[bad], top[comp[bad]]
+        g = sum(compress(rs.roots[bad], graded.decoration.crossed))
+        t = top[comp[bad]]
         raise ClassificationError(
             f"root {rs.roots[bad]} has grade {g}, outside {{-{t}, 0, {t}}}"
         )
@@ -198,8 +199,8 @@ def _fixed_idx(rs: RootSystem, members: frozenset[int]) -> list[int]:
 
 def perpendicular_compacts(sub: Subsystem) -> frozenset[Root]:
     """Ambient grade-0 roots pairing to zero with every subsystem member."""
-    rs, grade = sub.graded.rs, sub.graded.grade_of_root
-    return frozenset(rs.roots[b] for b in _fixed_idx(rs, sub.members) if grade[b] == 0)
+    rs, grades = sub.graded.rs, sub.graded.grades
+    return frozenset(rs.roots[b] for b in _fixed_idx(rs, sub.members) if grades[b] == 0)
 
 
 def associated_diagram(graded: GradedRootSystem) -> DecoratedDiagram:

@@ -428,11 +428,10 @@ def _check_input(
         # and roots perpendicular to all of it, the grade-0 roots of the fixed
         # set
         if not record.disjoint or at.count(0) != grades.count(0):
-            grade = graded.grade_of_root
-            perp = {b for b in record.fixed if grade[b] == 0}
-            in_sub = {i for i in members if grade[i] == 0}
-            if len(perp | in_sub) != grade.count(0) or perp & in_sub:
-                stray = {i for i, g in enumerate(grade) if g == 0} - perp - in_sub
+            perp = {b for b in record.fixed if grades[b] == 0}
+            in_sub = {i for i in members if grades[i] == 0}
+            if len(perp | in_sub) != grades.count(0) or perp & in_sub:
+                stray = {i for i, g in enumerate(grades) if g == 0} - perp - in_sub
                 fail(
                     "compact-dichotomy", _root_list(graded.rs.roots[i] for i in stray)
                 )

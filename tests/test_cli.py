@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,7 +10,14 @@ import sys
 import pytest
 
 import cominuscule.verify as verify
-from cominuscule import CominusculeError, NotCominusculeError, cominuscule_id
+from cominuscule import (
+    CominusculeError,
+    Decoration,
+    DiagramType,
+    NotCominusculeError,
+    cominuscule_id,
+    diagram_type,
+)
 from cominuscule.cli import (
     _TABLE,
     CARTER_TO_BOURBAKI,
@@ -19,7 +27,7 @@ from cominuscule.cli import (
     render_diagram,
     render_spec,
 )
-from cominuscule.rootsys import _canonical_families, component_cartan
+from cominuscule.rootsys import _canonical_families, _edges, component_cartan
 
 
 # ---------------------------------------------------------------- parsing
@@ -123,6 +131,57 @@ def test_carter_f4_row_is_the_identity():
 def test_render_diagram(spec, art):
     dtype, dec = parse_spec(spec)
     assert render_diagram(dtype, dec) == art
+
+
+# (C[a][b], C[b][a]) of a bond walked from node a to node b
+_BONDS = {(-1, -1): "-", (-1, -2): "=>", (-2, -1): "<=", (-3, -1): "<#"}
+
+
+def _drawn_from_edges(family, rank, marks):
+    """A component's drawing derived from `rootsys._edges`: walk from node 0.
+    Where more than one unvisited neighbour remains, each leaf among them is
+    drawn in parentheses and the walk goes on to the one that is not."""
+    pairs, adj = {}, [[] for _ in range(rank)]
+    for i, j, cij, cji in _edges(family, rank):
+        pairs[i, j], pairs[j, i] = (cij, cji), (cji, cij)
+        adj[i].append(j)
+        adj[j].append(i)
+
+    def step(a, b):
+        return _BONDS[pairs[a, b]] + ("x" if marks[b] else "o")
+
+    art, seen, v = ["x" if marks[0] else "o"], {0}, 0
+    while True:
+        ahead = [w for w in sorted(adj[v]) if w not in seen]
+        seen.update(ahead)
+        if len(ahead) > 1:
+            art += [f"({step(v, w)})" for w in ahead if len(adj[w]) == 1]
+            ahead = [w for w in ahead if len(adj[w]) > 1]
+        if not ahead:
+            return "".join(art)
+        (w,) = ahead
+        art.append(step(v, w))
+        v = w
+
+
+def test_render_diagram_matches_the_edge_list():
+    # every canonical type to rank 60 and random products, randomly crossed
+    rng = random.Random(0)
+    types = [
+        diagram_type((f, r)) for r in range(1, 61) for f in _canonical_families(r)
+    ]
+    inputs = [t for t in types for _ in range(5)]
+    for _ in range(500):
+        parts = rng.sample(types[:60], rng.randint(2, 4))
+        inputs.append(DiagramType(tuple(c for t in parts for c in t.components)))
+    for dtype in inputs:
+        dec = Decoration(tuple(rng.random() < 0.5 for _ in range(dtype.total_rank)))
+        want, start = [], 0
+        for c in dtype.components:
+            marks = dec.crossed[start : start + c.rank]
+            want.append(_drawn_from_edges(c.family, c.rank, marks))
+            start += c.rank
+        assert render_diagram(dtype, dec) == "  x  ".join(want), (dtype, dec)
 
 
 # ------------------------------------------------------------- subcommands

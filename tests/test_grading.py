@@ -1,12 +1,14 @@
 """Decoration parsing, grades, boxes and minimal roots."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from cominuscule import (
     Decoration,
     DecorationError,
+    GradedRootSystem,
     box,
     box_union,
     build_root_system,
@@ -21,8 +23,10 @@ def graded(pairs, dec, **kw):
 
 
 def p_grade(g, root):
-    """Grade of a coefficient tuple, read through its root index."""
-    return g.grade_of_root[g.rs.roots.index(root)]
+    """Grade of a coefficient tuple: the packed byte at its root index,
+    negated for a negative root."""
+    i = g.rs.roots.index(root)
+    return g.grades[i] if i >= len(g.rs.positive_roots) else -g.grades[i]
 
 
 def test_decoration_parsing():
@@ -54,11 +58,11 @@ def test_grade_is_odd_under_negation():
 
 def test_compact_roots_closed_under_reflection():
     g = graded([("D", 5)], "ooxoo")
-    grade = g.grade_of_root
-    compact = [i for i, x in enumerate(grade) if x == 0]
+    grades = g.grades
+    compact = [i for i, x in enumerate(grades) if x == 0]
     for a in compact:
         for b in compact:
-            assert grade[g.rs._refl[a][b]] == 0
+            assert grades[g.rs._refl[a][b]] == 0
 
 
 def test_box_single_cross_at_node_two_of_b():
@@ -164,11 +168,12 @@ def _assert_grades_are_coefficient_sums(dtype, decoration):
     g = grade_diagram(dtype, decoration, allow_point_factors=True)
     crossed = [j for j, c in enumerate(decoration.crossed) if c]
     want = [sum(r[j] for j in crossed) for r in g.rs.roots]
-    assert g.grade_of_root == want
     # byte i of the packed grades is |grade| of root i, negative roots included
     assert list(g.grades) == [abs(x) for x in want]
-    # the box: positive roots at their component's top grade, if above 0
+    # the top grades are the highest roots' crossed sums
     top = [sum(r[j] for j in crossed) for r in g.rs.highest_roots]
+    assert g.max_grades == tuple(top)
+    # the box: positive roots at their component's top grade, if above 0
     comp = g.rs.component_of_root
     half = len(g.rs.positive_roots)
     assert g.box_idx == [
@@ -202,6 +207,40 @@ def test_packed_grades_on_products(pairs):
     dtype = diagram_type(*pairs)
     for dec in _all_decorations(dtype):
         _assert_grades_are_coefficient_sums(dtype, dec)
+
+
+class _Unreadable:
+    """A sequence that tells its length and refuses to give up an item."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("grading read a coefficient tuple")
+
+    def __iter__(self):
+        raise AssertionError("grading read a coefficient tuple")
+
+
+@pytest.mark.parametrize(
+    "pairs", [[("B", 4)], [("D", 5)], [("E", 6)], [("A", 2), ("B", 2)]]
+)
+def test_grading_reads_no_coefficient_tuple(pairs):
+    # a stand-in build whose coefficient tuples can be counted but not read
+    rs = build_root_system(diagram_type(*pairs))
+    blind = SimpleNamespace(**vars(rs))
+    for name in ("roots", "positive_roots", "highest_roots", "simple_roots"):
+        setattr(blind, name, _Unreadable(len(getattr(rs, name))))
+    for dec in _all_decorations(rs.dtype):
+        want = GradedRootSystem(rs, dec, allow_point_factors=True)
+        got = GradedRootSystem(blind, dec, allow_point_factors=True)
+        assert got.grades == want.grades
+        assert got.max_grades == want.max_grades
+        assert got.box_idx == want.box_idx
+        assert got.point_components == want.point_components
 
 
 # ------------------------------------------------ box as an intersection

@@ -119,6 +119,7 @@ def test_a_closure_past_the_root_count_stops(monkeypatch):
 def test_highest_roots(family, rank, top):
     rs = build_root_system(diagram_type((family, rank)))
     assert rs.highest_roots == (top,)
+    assert tuple(rs.roots[i] for i in rs.highest_idx) == rs.highest_roots
     # no positive root strictly dominates the highest root
     for r in rs.positive_roots:
         assert all(c <= t for c, t in zip(r, top))
@@ -199,6 +200,7 @@ def test_product_structure():
     assert rs.dtype.ranges() == ((0, 2), (2, 4))
     assert len(rs.positive_roots) == 3 + 4
     assert rs.highest_roots == ((1, 1, 0, 0), (0, 0, 1, 2))
+    assert tuple(rs.roots[i] for i in rs.highest_idx) == rs.highest_roots
     assert rs.component_of_root[rs.roots.index((1, 0, 0, 0))] == 0
     assert rs.component_of_root[rs.roots.index((0, 0, 1, 1))] == 1
     assert rs.component_of_node == (0, 0, 1, 1)

@@ -5,6 +5,7 @@ exhaustive agreement over small products is the main correctness check here.
 """
 
 import itertools
+from itertools import compress
 from operator import add
 
 import pytest
@@ -91,7 +92,7 @@ def test_b5_interior_single_cross_is_a_line():
     theta = (1, 2, 2, 2, 2)
     assert sub.roots == {theta, (-1, -2, -2, -2, -2)}
     assert sub.simples == (theta,)
-    assert graded.grade_of_root[graded.rs.roots.index(theta)] == graded.max_grades[0]
+    assert sum(compress(theta, graded.decoration.crossed)) == graded.max_grades[0]
     assert str(decorated_diagram(sub)) == "A1:x"
 
 
@@ -111,7 +112,8 @@ def test_d6_middle_cross_gives_a3():
 
 def compact_roots(graded):
     """The grade-0 roots as coefficient tuples."""
-    return {r for r, g in zip(graded.rs.roots, graded.grade_of_root) if g == 0}
+    marks = graded.decoration.crossed
+    return {r for r in graded.rs.roots if sum(compress(r, marks)) == 0}
 
 
 
@@ -206,7 +208,8 @@ def _assert_structure(graded, sub):
         assert all(v <= 0 for j, v in enumerate(row) if j != i)
     # Closed under negation, grades -t/0/+t antisymmetrically, t the top
     # grade of the member's component.
-    grade, last = graded.grade_of_root, len(rs.roots) - 1
+    marks, last = graded.decoration.crossed, len(rs.roots) - 1
+    grade = [sum(compress(r, marks)) for r in rs.roots]
     for i in sub.members:
         t = graded.max_grades[rs.component_of_root[i]]
         assert last - i in sub.members
@@ -323,9 +326,10 @@ def test_decorated_diagram_reads_the_box_and_no_grade():
     want = decorated_diagram(sub)
     doctored = run([("E", 6)], "xooooo")
     half = len(doctored.rs.positive_roots)
-    for i in sub.members:
-        if i >= half:
-            doctored.grade_of_root[i] = 0
+    doctored.grades = bytes(
+        0 if i >= half and i in sub.members else g
+        for i, g in enumerate(doctored.grades)
+    )
     assert doctored.box_idx == graded.box_idx
     assert decorated_diagram(Subsystem(doctored, sub.members)) == want
 
@@ -335,7 +339,7 @@ def test_intermediate_grade_is_rejected():
     graded = run([("B", 3)], "oxo")
     assert graded.max_grades[0] == 2
     alpha2 = graded.rs.roots.index((0, 1, 0))
-    assert graded.grade_of_root[alpha2] == 1
+    assert graded.grades[alpha2] == 1
     with pytest.raises(ClassificationError):
         _make_subsystem(graded, {alpha2})
 
@@ -343,7 +347,7 @@ def test_intermediate_grade_is_rejected():
 def test_trichotomy_error_names_the_smallest_bad_root():
     graded = run([("B", 3)], "oxo")
     top = graded.max_grades[0]
-    grade = graded.grade_of_root
+    grade = [sum(compress(r, graded.decoration.crossed)) for r in graded.rs.roots]
     bad = [i for i, g in enumerate(grade) if g not in (-top, 0, top)]
     # two bad roots in a set that iterates the larger one first
     pairs = ({a, b} for a in bad for b in bad if a < b)

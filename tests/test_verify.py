@@ -583,9 +583,11 @@ def test_memo_fixed_set_filtered_by_grade_is_each_inputs_perpendicular_set(
         for dec in _decorations(dtype):
             graded = grade_diagram(dtype, dec)
             sub = generate_subsystem(graded)
-            grade = graded.grade_of_root
+            roots = graded.rs.roots
             kept = fixed_of[dtype, sub.members]
-            perp = frozenset(graded.rs.roots[b] for b in kept if grade[b] == 0)
+            perp = frozenset(
+                roots[b] for b in kept if sum(compress(roots[b], dec.crossed)) == 0
+            )
             assert perp == perpendicular_compacts(sub)
             count += 1
     assert count == 1180
