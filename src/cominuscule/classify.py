@@ -174,8 +174,13 @@ class CominusculeId(NamedTuple):
         )
 
 
+@lru_cache(maxsize=None, typed=True)
 def cominuscule_id(family: str, rank: int, node: int) -> CominusculeId:
-    """Table lookup for an irreducible component with one crossed node."""
+    """Table lookup for an irreducible component with one crossed node.
+
+    A pure function of its arguments, so each answer is kept; `typed` keeps
+    a call with 1.0 from returning the answer for 1.
+    """
     if not 1 <= node <= rank:
         raise InvalidDiagramError(f"node {node} out of range for {family}{rank}")
 

@@ -63,10 +63,10 @@ class GradedRootSystem:
         *,
         allow_point_factors: bool = False,
     ) -> None:
-        if len(decoration.crossed) != rs.dtype.total_rank:
+        if len(decoration.crossed) != len(rs.simple_roots):
             raise DecorationError(
                 f"decoration length {len(decoration.crossed)} != rank"
-                f" {rs.dtype.total_rank} of {rs.dtype}"
+                f" {len(rs.simple_roots)} of {rs.dtype}"
             )
         self.rs = rs
         self.decoration = decoration
@@ -94,7 +94,9 @@ class GradedRootSystem:
             box.sort()
         self.box_idx = box
 
-        self.point_components = tuple(i for i, m in enumerate(top) if m == 0)
+        self.point_components = (
+            tuple(i for i, m in enumerate(top) if m == 0) if 0 in top else ()
+        )
         if self.point_components and not allow_point_factors:
             names = ", ".join(
                 str(rs.dtype.components[i]) for i in self.point_components

@@ -86,26 +86,27 @@ def _highest_walk(graded: GradedRootSystem) -> list[int]:
     """The root indices of the pieces `highest_component` finds, ascending,
     point components left out, by a walk down from each highest root.
 
-    The walk subtracts the non-crossed simple roots and keeps every key that
-    is a root's.  Every positive root b other than the highest root t of its
-    piece has a root b + a_j (Humphreys, *Introduction to Lie Algebras*
-    §10.4), and j is not crossed: t bounds every root coefficientwise and b
-    already has t's crossed coefficients.  So walking down from t reaches
-    the whole piece.  A simple root of another component never leads to a
-    root, and each step lowers the height by one, so the levels are
-    disjoint.  The walk starts from the keys at the highest roots' indices
-    and reads keys and the decoration, never a grade.
+    The walk is a depth-first search over the root system's down lists: from
+    root i it steps to root i - a_j when node j is not crossed.  Every
+    positive root b other than the highest root t of its piece has a root
+    b + a_j (Humphreys, *Introduction to Lie Algebras* §10.4), and j is not
+    crossed: t bounds every root coefficientwise and b already has t's
+    crossed coefficients.  So walking down from t reaches the whole piece.
+    A simple root of another component never leads to a root, so no step
+    leaves a component.  The walk starts from the highest roots' indices and
+    reads the down lists, found by key, and the decoration, never a grade.
     """
     rs = graded.rs
-    index = rs.key_index
-    steps = [w for w, c in zip(rs._weights, graded.decoration.crossed) if not c]
+    down, crossed = rs._down, graded.decoration.crossed
     points = graded.point_components
-    level = [rs.keys[i] for ci, i in enumerate(rs.highest_idx) if ci not in points]
-    reached = []
-    while level:
-        reached += level
-        level = {d for k in level for w in steps if (d := k - w) in index}
-    return sorted([index[k] for k in reached])
+    reached = {i for ci, i in enumerate(rs.highest_idx) if ci not in points}
+    stack = list(reached)
+    while stack:
+        for j, b in down[stack.pop()]:
+            if not crossed[j] and b not in reached:
+                reached.add(b)
+                stack.append(b)
+    return sorted(reached)
 
 
 def restrict(h: HasseDiagram, roots: frozenset[Root]) -> HasseDiagram:

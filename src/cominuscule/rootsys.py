@@ -15,7 +15,7 @@ exact division.  All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter, mul
 
 from .errors import InvalidDiagramError
@@ -254,6 +254,10 @@ class RootSystem:
     sum of columns adds the coefficients of all roots at once, up to sign.
     No byte of such a sum carries: it is at most the height of a root, and
     the constructor refuses a type whose highest root reaches height 256.
+    `_down[i]` lists the roots one simple root below root i, built on first
+    use for the walk down the Hasse diagram, and `_recognized` is
+    `subsystem.decorated_diagram`'s memo of each Cartan matrix it
+    recognized; both go with the root system when a cold cache drops it.
 
     Coefficient tuples are the API edge: `roots`, `positive_roots`,
     `highest_roots` (`_highest_root`'s marks, checked against the closure)
@@ -348,6 +352,27 @@ class RootSystem:
             rows.append(itemgetter(*after[i](rows[d]))(rows[i]))
         rows = [rows[d] for d in order]
         self._refl = tuple(rows[::-1] + rows)  # s_(-a) = s_a
+        # subsystem.decorated_diagram's memo: Cartan matrix -> recognition
+        self._recognized: dict = {}
+
+    @cached_property
+    def _down(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per root index i, the pairs (j, b), j ascending, where root b =
+        root i - alpha_j is a root; empty for a negative root.
+
+        Found by key.  Such a b is positive: a positive root is not the sum
+        of a simple root and a negative root, since that sum's height is
+        below 1.  Built on first use, as only the walk down the Hasse
+        diagram reads it.
+        """
+        keys, at, half = self.keys, self.key_index, len(self.positive_roots)
+        steps = list(enumerate(self._weights))
+        down = [()] * half
+        for k in keys[half:]:
+            down.append(
+                tuple([(j, b) for j, w in steps if (b := at.get(k - w)) is not None])
+            )
+        return tuple(down)
 
     def pair(self, b: int, a: int) -> int:
         """<root_b, root_a-check> by index: b - s_a(b) is that many times a."""

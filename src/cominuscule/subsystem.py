@@ -155,12 +155,22 @@ def decorated_diagram(sub: Subsystem) -> DecoratedDiagram:
     placing the crossed node earliest; this makes the output a fixed point of
     the pipeline instead of flipping under chain reversal or fork swaps.  It
     reads no grade, so it depends on the members and the box alone.
+
+    The recognition of the subsystem's Cartan matrix is kept on the ambient
+    root system, keyed by the matrix, so each distinct matrix is validated
+    and recognized once per root system.  The key holds only ints from
+    `RootSystem.pair`; the public `recognize_labelings` keeps no memo, so a
+    matrix with a float entry equal to an int one is still rejected there.
     """
     box, simple = set(sub.graded.box_idx), sub._simple_idx
+    cartan, memo = sub.cartan, sub.graded.rs._recognized
+    found = memo.get(cartan)
+    if found is None:
+        found = memo[cartan] = recognize_labelings(cartan)
     components: list[Component] = []
     order: list[int] = []
     crossed: list[bool] = []
-    for family, rank, labelings in recognize_labelings(sub.cartan):
+    for family, rank, labelings in found:
         def marks(nodes: tuple[int, ...]) -> tuple[bool, ...]:
             return tuple(simple[i] in box for i in nodes)
 
@@ -180,27 +190,29 @@ def decorated_diagram(sub: Subsystem) -> DecoratedDiagram:
     )
 
 
-def _fixed_idx(rs: RootSystem, members: frozenset[int]) -> list[int]:
-    """Ambient root indices fixed by the reflection in every member.
+def _fixed_idx(rs: RootSystem, simple: list[int]) -> list[int]:
+    """Ambient root indices fixed by the reflection in every member of the
+    subsystem whose simple roots, as positive root indices, are `simple`.
 
-    It reads no grades, so it depends on the root system and the members
-    alone.
+    The reflections in the simple roots generate the subsystem's Weyl group,
+    which holds the reflection in every member, so a root fixed by each of
+    them is fixed by all.  It reads no grades, so it depends on the root
+    system and the subsystem alone.
     """
     half = len(rs.positive_roots)
-    # b is fixed exactly when -b is, and s_(-a) = s_a: search the positive
-    # half under the positive members, then mirror
+    # b is fixed exactly when -b is: search the positive half, then mirror
     found = list(range(half, 2 * half))
-    for a in members:
-        if a >= half:
-            row = rs._refl[a]
-            found = [b for b in found if row[b] == b]
+    for a in simple:
+        row = rs._refl[a]
+        found = [b for b in found if row[b] == b]
     return [2 * half - 1 - b for b in reversed(found)] + found
 
 
 def perpendicular_compacts(sub: Subsystem) -> frozenset[Root]:
     """Ambient grade-0 roots pairing to zero with every subsystem member."""
     rs, grades = sub.graded.rs, sub.graded.grades
-    return frozenset(rs.roots[b] for b in _fixed_idx(rs, sub.members) if grades[b] == 0)
+    fixed = _fixed_idx(rs, sub._simple_idx)
+    return frozenset(rs.roots[b] for b in fixed if grades[b] == 0)
 
 
 def associated_diagram(graded: GradedRootSystem) -> DecoratedDiagram:

@@ -15,21 +15,24 @@ against the piece of the `hasse` module's flag diagram holding the highest
 root, a source that reads no grade; the classified dimension against |box|;
 and idempotence, the pipeline run once per output diagram on that diagram.
 Last it takes the fixed set, the roots fixed by the reflection in every
-member.  A box's record, the members, the fixed set, whether the two are
-disjoint and the classification's keys, is kept when its stage found
-nothing, and an output's image when it was computed without an error, so a
-failing box or output fails again on every input that has it.  Per input,
-the checks read its own grades and decoration, in this order: the grade
-trichotomy, the expected answer from the family's rule, the compact
-dichotomy, and the walk over root indices down from the highest root, which
-must reach exactly the box.  The grade checks read the input's packed grade
-bytes at the members and the fixed set, one byte per root index (a negative
-root reads its positive's byte): the trichotomy passes when every member's
-byte is 0 or the top grade (on a type of one component), and the dichotomy
-when the two sets are disjoint and their grade-0 roots number all the
-grade-0 roots.  Only when a count disagrees does the input rebuild its
-subsystem, or the dichotomy's sets, to name the roots that fail.  An input
-reports its own mismatches first, then those of a box stage it ran.
+member, from the reflections in the subsystem's simple roots alone, which
+generate the subsystem's Weyl group.  A box's record, the members, the
+fixed set, whether the two are disjoint and the classification's keys, is
+kept when its stage found nothing, and an output's image when it was
+computed without an error, so a failing box or output fails again on every
+input that has it.  Per input, the checks read its own grades and
+decoration, in this order: the grade trichotomy, the expected answer from
+the family's rule, the compact dichotomy, and the walk down from the highest
+root over the root system's down lists, the roots one simple root below
+each root, which must reach exactly the box.  The grade checks read the
+input's packed grade bytes at the members and the fixed set, one byte per
+root index (a negative root reads its positive's byte): the trichotomy
+passes when every member's byte is 0 or the top grade (on a type of one
+component), and the dichotomy when the two sets are disjoint and their
+grade-0 roots number all the grade-0 roots.  Only when a count disagrees
+does the input rebuild its subsystem, or the dichotomy's sets, to name the
+roots that fail.  An input reports its own mismatches first, then those of
+a box stage it ran.
 
 One `sweep` call deals its types to one bin per CPU it may use and takes
 the same path at any count: it forks a child per bin but the first, which
@@ -349,7 +352,7 @@ def _box_stage(
         failures.append(("idempotence", f"{dd} maps to {image}"))
 
     members = gen.members
-    fixed = _fixed_idx(graded.rs, members)
+    fixed = _fixed_idx(graded.rs, gen._simple_idx)
     keys = tuple(c.key() for c in ids)
     return BoxRecord(members, fixed, members.isdisjoint(fixed), keys), failures
 
@@ -358,15 +361,16 @@ def _check_input(
     dtype: DiagramType,
     decoration: Decoration,
     images: dict[tuple[DiagramType, Decoration], DecoratedDiagram],
-    boxes: dict[tuple[int, ...], BoxRecord],
+    boxes: dict[tuple[int, ...], tuple[BoxRecord, itemgetter]],
 ) -> list[Mismatch]:
     """Run every check on one input; return what fails, in check order.
 
     A stage failing with a CominusculeError is a mismatch of that stage's
     kind.  Any other exception escaping the checks is recorded as a `crash`
     mismatch; it ends this input's checks, not the sweep.  `boxes` maps each
-    box of this type whose box stage found nothing to its record; `images`
-    is the box stage's.
+    box of this type whose box stage found nothing to its record and the
+    getter that reads an input's grades at the record's roots; `images` is
+    the box stage's.
 
     The input's own checks read its grades and its decoration: the grade
     trichotomy, the expected answer, the compact dichotomy and the walk.
@@ -387,19 +391,22 @@ def _check_input(
             return problems
 
         box_key = tuple(graded.box_idx)
-        record, failures = boxes.get(box_key), []
-        if record is None:
+        kept, failures = boxes.get(box_key), []
+        if kept is None:
             record, failures = _box_stage(graded, images)
             if record is None:  # the routes or the classification failed
                 fail(*failures[0])
                 return problems
+            # reads a grade at each member, then at each root of the fixed
+            # set: the members hold each root with its negative, so there are
+            # at least two and the getter returns a tuple
+            kept = record, itemgetter(*record.members, *record.fixed)
             if not failures:
-                boxes[box_key] = record
+                boxes[box_key] = kept
+        record, read = kept
         members = record.members
-        # the input's grades at the members, then at the fixed set: the
-        # members hold each root with its negative, so there are at least two
         grades = graded.grades
-        at = itemgetter(*members, *record.fixed)(grades)
+        at = read(grades)
         at_members = at[: len(members)]
         # grade trichotomy on the input's own grades: every member's grade is
         # -t, 0 or t
@@ -415,7 +422,8 @@ def _check_input(
 
         expected = expected_answer(dtype, decoration)
         got_keys = record.keys
-        want_keys = tuple(c.key() for c in expected.expected)
+        (want,) = expected.expected
+        want_keys = (want.key(),)
         if got_keys != want_keys:
             roots = graded.rs.roots
             fail(

@@ -17,7 +17,10 @@ from cominuscule import (
     NotCominusculeError,
     classify_cominuscule,
     cominuscule_id,
+    decorated_diagram,
     diagram_type,
+    generate_subsystem,
+    grade_diagram,
     recognize_labelings,
 )
 from cominuscule.rootsys import (
@@ -355,6 +358,20 @@ def _star(*arms):
 def test_invalid_cartan_rejected(cartan):
     with pytest.raises(ClassificationError):
         recognize_labelings(cartan)
+
+
+def test_a_float_entry_is_rejected_after_a2_was_recognized():
+    # -1.0 == -1 and the two hash alike: no answer kept for A2, by the
+    # public function or by the pipeline's recognition, may answer for it
+    a2 = ((2, -1), (-1, 2))
+    assert recognize_labelings(a2) == (("A", 2, ((0, 1), (1, 0))),)
+    graded = grade_diagram(diagram_type(("A", 2)), Decoration.from_string("xo"))
+    assert decorated_diagram(generate_subsystem(graded)).dtype == diagram_type(
+        ("A", 2)
+    )
+    for cartan in ([[2, -1.0], [-1, 2]], ((2, -1.0), (-1, 2))):
+        with pytest.raises(ClassificationError):
+            recognize_labelings(cartan)
 
 
 # ---------------------------------------------------------------- the table

@@ -222,6 +222,65 @@ def test_walk_finds_the_highest_pieces_on_products_and_at_the_root_cap(spec):
     assert _highest_walk(graded) == _piece_indices(graded) == graded.box_idx
 
 
+def _key_walk(graded):
+    """The walk level by level over keys: each level is the keys one
+    non-crossed simple root below the last level's that are roots' keys."""
+    rs = graded.rs
+    index = rs.key_index
+    steps = [w for w, c in zip(rs._weights, graded.decoration.crossed) if not c]
+    points = graded.point_components
+    level = [rs.keys[i] for ci, i in enumerate(rs.highest_idx) if ci not in points]
+    reached = []
+    while level:
+        reached += level
+        level = {d for k in level for w in steps if (d := k - w) in index}
+    return sorted([index[k] for k in reached])
+
+
+def test_down_lists_are_the_roots_one_simple_root_below():
+    # by coefficient tuples: root i minus e_j, wherever that is a root
+    for dtype in sweep_inputs(8):
+        rs = build_root_system(dtype)
+        index = {r: i for i, r in enumerate(rs.roots)}
+        half = len(rs.positive_roots)
+        want = [()] * half
+        for r in rs.positive_roots:
+            below = [r[:j] + (r[j] - 1,) + r[j + 1 :] for j in range(len(r))]
+            want.append(tuple((j, index[b]) for j, b in enumerate(below) if b in index))
+        assert rs._down == tuple(want), dtype
+
+
+def test_walk_over_down_lists_is_the_key_walk_on_every_rank_8_sweep_input():
+    count = 0
+    for dtype in sweep_inputs(8):
+        for bits in range(1, 1 << dtype.total_rank):
+            dec = Decoration(
+                tuple(bool(bits >> i & 1) for i in range(dtype.total_rank))
+            )
+            graded = grade_diagram(dtype, dec)
+            assert _highest_walk(graded) == _key_walk(graded), (dtype, dec)
+            count += 1
+    assert count == 2455
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "E6xA2:xooooxox",
+        "D5xA3:xoooxoxo",
+        "D6xA2:oxoooxox",
+        "C4xA1xF4:oxoxxoxoo",
+        "A1xA2:oxo",
+        "A44:oooxooooooooooooooooooooooooooooooooooooooxo",
+        "D32:oxooooooooooooooooooooooooooooox",
+    ],
+)
+def test_walk_over_down_lists_is_the_key_walk_on_products(spec):
+    dtype, dec = parse_spec(spec)
+    graded = grade_diagram(dtype, dec, allow_point_factors=True)
+    assert _highest_walk(graded) == _key_walk(graded)
+
+
 def test_quadric_box_is_a_chain():
     for rank in range(2, 7):
         graded = graded_for([("B", rank)], "x" + "o" * (rank - 1))

@@ -10,6 +10,7 @@ from operator import add
 
 import pytest
 
+import cominuscule.subsystem as subsystem
 from cominuscule import (
     ClassificationError,
     Decoration,
@@ -24,7 +25,9 @@ from cominuscule import (
     perpendicular_compacts,
     sweep_inputs,
 )
-from cominuscule.subsystem import _make_subsystem
+from cominuscule.grading import GradedRootSystem
+from cominuscule.rootsys import RootSystem
+from cominuscule.subsystem import _fixed_idx, _make_subsystem
 
 
 def run(pairs, dec):
@@ -148,6 +151,83 @@ def test_perpendicular_compacts_empty_for_projective_space():
     graded = run([("A", 4)], "xooo")
     sub = generate_subsystem(graded)
     assert perpendicular_compacts(sub) == frozenset()
+
+
+def _fixed_by_rows(rs, members):
+    """The roots fixed by the reflection in every positive member, read
+    off each member's row of the reflection table."""
+    half = len(rs.positive_roots)
+    found = list(range(half, 2 * half))
+    for a in members:
+        if a >= half:
+            row = rs._refl[a]
+            found = [b for b in found if row[b] == b]
+    return [2 * half - 1 - b for b in reversed(found)] + found
+
+
+def _subsystems_by_box(max_rank):
+    """The generated subsystem of each (type, box) of the sweep to max_rank."""
+    out = {}
+    for dtype in sweep_inputs(max_rank):
+        rank = dtype.total_rank
+        for bits in range(1, 1 << rank):
+            dec = Decoration(tuple(bool(bits >> i & 1) for i in range(rank)))
+            graded = grade_diagram(dtype, dec)
+            key = (dtype, tuple(graded.box_idx))
+            if key not in out:
+                out[key] = generate_subsystem(graded)
+    return out
+
+
+def test_fixed_set_from_the_simple_roots_is_the_row_filter_on_every_rank_8_box():
+    subs = _subsystems_by_box(8)
+    assert len(subs) == 305
+    for sub in subs.values():
+        rs = sub.graded.rs
+        assert _fixed_idx(rs, sub._simple_idx) == _fixed_by_rows(rs, sub.members)
+
+
+def test_fixed_set_is_the_roots_pairing_to_zero_with_every_member():
+    subs = _subsystems_by_box(6)
+    assert len(subs) == 150
+    for sub in subs.values():
+        rs = sub.graded.rs
+        zero = [
+            b
+            for b in range(len(rs.roots))
+            if all(rs.pair(b, a) == 0 for a in sub.members)
+        ]
+        assert _fixed_idx(rs, sub._simple_idx) == zero
+
+
+def test_decorated_diagram_recognizes_each_cartan_matrix_once_per_root_system(
+    monkeypatch,
+):
+    real = subsystem.recognize_labelings
+    calls = []
+
+    def counting(cartan):
+        calls.append(cartan)
+        return real(cartan)
+
+    monkeypatch.setattr(subsystem, "recognize_labelings", counting)
+    count = 0
+    for dtype in sweep_inputs(7):
+        rs = RootSystem(dtype)  # with an empty memo
+        subs = [
+            generate_subsystem(GradedRootSystem(rs, Decoration(crossed)))
+            for crossed in itertools.product((False, True), repeat=dtype.total_rank)
+            if any(crossed)
+        ]
+        calls.clear()
+        kept = [decorated_diagram(sub) for sub in subs]
+        assert sorted(calls) == sorted({sub.cartan for sub in subs}), dtype
+        # each answer read from the memo is the one a cleared memo gives
+        for sub, dd in zip(subs, kept):
+            rs._recognized.clear()
+            assert decorated_diagram(sub) == dd
+        count += len(subs)
+    assert count == 1180
 
 
 # ------------------------------------------------- exhaustive dual routes

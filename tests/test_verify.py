@@ -549,13 +549,20 @@ def test_box_memo_keeps_no_failed_box(monkeypatch):
 
 def _record_fixed(monkeypatch):
     """Wrap the sweep's fixed-set helper; return (dtype, members, result)
-    per call."""
+    per call.  The helper takes the subsystem's simple roots; the members
+    are their orbit under the simple reflections, with the negatives."""
     real = verify._fixed_idx
     calls = []
 
-    def recording(rs, members):
-        fixed = real(rs, members)
-        calls.append((rs.dtype, members, fixed))
+    def recording(rs, simple):
+        fixed = real(rs, simple)
+        last = len(rs.roots) - 1
+        members = set(simple) | {last - a for a in simple}
+        frontier = list(members)
+        while frontier:
+            frontier = {rs._refl[a][b] for a in simple for b in frontier} - members
+            members |= frontier
+        calls.append((rs.dtype, frozenset(members), fixed))
         return fixed
 
     monkeypatch.setattr(verify, "_fixed_idx", recording)
@@ -569,6 +576,30 @@ def test_sweep_computes_the_fixed_set_once_per_box(monkeypatch):
     assert sweep(6).ok
     # 150 boxes, some of which close to the same members
     assert len(calls) == len(boxes) == len(set(boxes)) == 150
+
+
+@pytest.mark.usefixtures("one_process")
+def test_box_stage_takes_the_fixed_set_from_the_subsystems_simple_roots(
+    monkeypatch,
+):
+    real = verify._fixed_idx
+    calls = []
+
+    def recording(rs, simple):
+        calls.append((rs.dtype, list(simple)))
+        return real(rs, simple)
+
+    monkeypatch.setattr(verify, "_fixed_idx", recording)
+    assert sweep(6).ok
+    # the first input with each box runs its box stage, in sweep order
+    want, seen = [], set()
+    for dtype in sweep_inputs(6):
+        for dec in _decorations(dtype):
+            graded = grade_diagram(dtype, dec)
+            if (dtype, tuple(graded.box_idx)) not in seen:
+                seen.add((dtype, tuple(graded.box_idx)))
+                want.append((dtype, generate_subsystem(graded)._simple_idx))
+    assert calls == want
 
 
 @pytest.mark.usefixtures("one_process")
