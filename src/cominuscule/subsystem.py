@@ -26,21 +26,12 @@ class Subsystem:
     is -t, 0 or t, t the top grade of its component.  `roots` is the same set
     as coefficient tuples.  `roots`, `simples` and `cartan` are derived from
     `members` on first use, so a subsystem whose simple system is never read
-    never pays for it.  Two subsystems are equal when their gradings and
-    members are.
+    never pays for it.
     """
 
     def __init__(self, graded: GradedRootSystem, members: frozenset[int]) -> None:
         self.graded = graded
         self.members = members
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graded, self.members) == (other.graded, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.graded, self.members))
 
     @cached_property
     def roots(self) -> frozenset[Root]:

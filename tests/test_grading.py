@@ -1,6 +1,5 @@
 """Decoration parsing, grades, boxes and minimal roots."""
 
-import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -14,8 +13,9 @@ from cominuscule import (
     build_root_system,
     diagram_type,
     grade_diagram,
-    sweep_inputs,
 )
+
+from checkers import check_grading, decorations, sweep_decorations
 
 
 def graded(pairs, dec, **kw):
@@ -121,10 +121,8 @@ def test_g2_short_node_box_and_minimals():
 def test_box_always_contains_highest_root():
     for family, rank in [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("F", 4)]:
         dtype = diagram_type((family, rank))
-        for bits in itertools.product((True, False), repeat=rank):
-            if not any(bits):
-                continue
-            g = grade_diagram(dtype, Decoration(bits))
+        for dec in decorations(rank):
+            g = grade_diagram(dtype, dec)
             parts = box(g)
             assert g.rs.highest_roots[0] in parts[0]
             assert box_union(g) == parts[0]
@@ -158,36 +156,11 @@ def test_max_grade_at_least_one_when_crossed():
 # ------------------------------------------------------------ packed grades
 
 
-def _all_decorations(dtype):
-    rank = dtype.total_rank
-    for bits in itertools.product((False, True), repeat=rank):
-        yield Decoration(bits)
-
-
-def _assert_grades_are_coefficient_sums(dtype, decoration):
-    g = grade_diagram(dtype, decoration, allow_point_factors=True)
-    crossed = [j for j, c in enumerate(decoration.crossed) if c]
-    want = [sum(r[j] for j in crossed) for r in g.rs.roots]
-    # byte i of the packed grades is |grade| of root i, negative roots included
-    assert list(g.grades) == [abs(x) for x in want]
-    # the top grades are the highest roots' crossed sums
-    top = [sum(r[j] for j in crossed) for r in g.rs.highest_roots]
-    assert g.max_grades == tuple(top)
-    # the box: positive roots at their component's top grade, if above 0
-    comp = g.rs.component_of_root
-    half = len(g.rs.positive_roots)
-    assert g.box_idx == [
-        i for i in range(half, 2 * half) if 0 < want[i] == top[comp[i]]
-    ]
-
-
 def test_packed_grades_on_every_sweep_input():
     count = 0
-    for dtype in sweep_inputs(7):
-        for dec in _all_decorations(dtype):
-            if any(dec.crossed):
-                _assert_grades_are_coefficient_sums(dtype, dec)
-                count += 1
+    for dtype, dec in sweep_decorations(7):
+        check_grading(build_root_system(dtype), dec)
+        count += 1
     assert count == 1180
 
 
@@ -205,8 +178,12 @@ def test_packed_grades_on_products(pairs):
     # every decoration, so each factor crossed and a crossless factor under
     # allow_point_factors among them
     dtype = diagram_type(*pairs)
-    for dec in _all_decorations(dtype):
-        _assert_grades_are_coefficient_sums(dtype, dec)
+    rs = build_root_system(dtype)
+    count = 0
+    for dec in decorations(dtype.total_rank, empty=True):
+        check_grading(rs, dec)
+        count += 1
+    assert count == 2**dtype.total_rank
 
 
 class _Unreadable:
@@ -234,7 +211,7 @@ def test_grading_reads_no_coefficient_tuple(pairs):
     blind = SimpleNamespace(**vars(rs))
     for name in ("roots", "positive_roots", "highest_roots", "simple_roots"):
         setattr(blind, name, _Unreadable(len(getattr(rs, name))))
-    for dec in _all_decorations(rs.dtype):
+    for dec in decorations(rs.dtype.total_rank, empty=True):
         want = GradedRootSystem(rs, dec, allow_point_factors=True)
         got = GradedRootSystem(blind, dec, allow_point_factors=True)
         assert got.grades == want.grades
@@ -272,14 +249,12 @@ def _assert_box_is_the_intersection_of_single_cross_boxes(dtype, decoration, sin
 
 def test_box_is_the_intersection_of_single_cross_boxes():
     count = 0
-    for dtype in sweep_inputs(8):
-        single = {}
-        for dec in _all_decorations(dtype):
-            if any(dec.crossed):
-                _assert_box_is_the_intersection_of_single_cross_boxes(
-                    dtype, dec, single
-                )
-                count += 1
+    single = {}
+    for dtype, dec in sweep_decorations(8):
+        _assert_box_is_the_intersection_of_single_cross_boxes(
+            dtype, dec, single.setdefault(dtype, {})
+        )
+        count += 1
     assert count == 2455
 
 
@@ -296,5 +271,8 @@ def test_box_is_the_intersection_of_single_cross_boxes():
 def test_box_is_the_intersection_on_products_with_point_factors(pairs):
     dtype = diagram_type(*pairs)
     single = {}
-    for dec in _all_decorations(dtype):
+    count = 0
+    for dec in decorations(dtype.total_rank, empty=True):
         _assert_box_is_the_intersection_of_single_cross_boxes(dtype, dec, single)
+        count += 1
+    assert count == 2**dtype.total_rank

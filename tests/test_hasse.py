@@ -22,6 +22,8 @@ from cominuscule.cli import parse_spec
 from cominuscule.hasse import _highest_walk
 from cominuscule.rootsys import build_root_system
 
+from checkers import sweep_decorations
+
 
 def rs_for(*pairs):
     return build_root_system(diagram_type(*pairs))
@@ -194,13 +196,10 @@ def _piece_indices(graded):
 
 def test_walk_finds_the_highest_pieces_on_every_rank_7_sweep_input():
     count = 0
-    for dtype in sweep_inputs(7):
-        rank = dtype.total_rank
-        for bits in range(1, 1 << rank):
-            dec = Decoration(tuple(bool(bits >> i & 1) for i in range(rank)))
-            graded = grade_diagram(dtype, dec)
-            assert _highest_walk(graded) == _piece_indices(graded)
-            count += 1
+    for dtype, dec in sweep_decorations(7):
+        graded = grade_diagram(dtype, dec)
+        assert _highest_walk(graded) == _piece_indices(graded)
+        count += 1
     assert count == 1180
 
 
@@ -252,14 +251,10 @@ def test_down_lists_are_the_roots_one_simple_root_below():
 
 def test_walk_over_down_lists_is_the_key_walk_on_every_rank_8_sweep_input():
     count = 0
-    for dtype in sweep_inputs(8):
-        for bits in range(1, 1 << dtype.total_rank):
-            dec = Decoration(
-                tuple(bool(bits >> i & 1) for i in range(dtype.total_rank))
-            )
-            graded = grade_diagram(dtype, dec)
-            assert _highest_walk(graded) == _key_walk(graded), (dtype, dec)
-            count += 1
+    for dtype, dec in sweep_decorations(8):
+        graded = grade_diagram(dtype, dec)
+        assert _highest_walk(graded) == _key_walk(graded), (dtype, dec)
+        count += 1
     assert count == 2455
 
 

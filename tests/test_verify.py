@@ -29,6 +29,8 @@ from cominuscule import (
 )
 from cominuscule.rootsys import _canonical_families
 
+from checkers import decorations, sweep_decorations
+
 
 def expect(type_pair, dec):
     dtype = diagram_type(type_pair)
@@ -332,12 +334,9 @@ def one_process():
 def _images(max_rank):
     """(dtype, decoration) of each sweep input -> its associated diagram."""
     out = {}
-    for dtype in sweep_inputs(max_rank):
-        rank = dtype.total_rank
-        for bits in range(1, 1 << rank):
-            dec = Decoration(tuple(bool(bits >> i & 1) for i in range(rank)))
-            dd = associated_diagram(grade_diagram(dtype, dec))
-            out[str(dtype), str(dec)] = (dd.dtype, dd.decoration)
+    for dtype, dec in sweep_decorations(max_rank):
+        dd = associated_diagram(grade_diagram(dtype, dec))
+        out[str(dtype), str(dec)] = (dd.dtype, dd.decoration)
     return out
 
 
@@ -363,6 +362,7 @@ def _count_gradings(monkeypatch, fail_after=None):
 @pytest.mark.usefixtures("one_process")
 def test_idempotence_memo_hides_no_failure(monkeypatch):
     images = _images(4)
+    assert len(images) == 106
     line = (diagram_type(("A", 1)), Decoration.from_string("x"))
     onto_line = sorted(k for k, image in images.items() if image == line)
     assert ("A1", "x") in onto_line and len(onto_line) > 1
@@ -388,12 +388,12 @@ def test_idempotence_memo_hides_no_failure(monkeypatch):
 @pytest.mark.usefixtures("one_process")
 def test_box_memo_keeps_no_box_whose_image_moves(monkeypatch):
     images = _images(4)
+    assert len(images) == 106
     line = (diagram_type(("A", 1)), Decoration.from_string("x"))
     onto_line = sorted(k for k, image in images.items() if image == line)
     boxes = {
         (dtype, tuple(grade_diagram(dtype, dec).box_idx))
-        for dtype in sweep_inputs(4)
-        for dec in _decorations(dtype)
+        for dtype, dec in sweep_decorations(4)
         if (str(dtype), str(dec)) in onto_line
     }
     # some inputs mapping onto A1:x share a box with an earlier one
@@ -423,7 +423,9 @@ def test_box_memo_keeps_no_box_whose_image_moves(monkeypatch):
 
 @pytest.mark.usefixtures("one_process")
 def test_sweep_grades_each_input_and_each_image_once(monkeypatch):
-    distinct_images = len(set(_images(6).values()))
+    images = _images(6)
+    assert len(images) == 545
+    distinct_images = len(set(images.values()))
     calls = _count_gradings(monkeypatch)
     report = sweep(6)
     assert report.ok
@@ -433,31 +435,22 @@ def test_sweep_grades_each_input_and_each_image_once(monkeypatch):
 # ------------------------------------------------------------- the box memo
 
 
-def _decorations(dtype):
-    rank = dtype.total_rank
-    for bits in range(1, 1 << rank):
-        yield Decoration(tuple(bool(bits >> i & 1) for i in range(rank)))
-
-
 def _by_box(max_rank):
     """(dtype, box_idx) -> the pipeline's results and the box stage's record
     on each input with that box, every input run fresh."""
     groups = {}
     images = {}
-    for dtype in sweep_inputs(max_rank):
-        for dec in _decorations(dtype):
-            graded = grade_diagram(dtype, dec)
-            sub = generate_subsystem(graded)
-            dd = decorated_diagram(sub)
-            keys = tuple(c.key() for c in classify_cominuscule(dd))
-            # the box stage's record: members, ids and fixed set
-            record, failures = verify._box_stage(graded, images)
-            assert failures == []
-            assert record.members == sub.members
-            result = (
-                sub.members, dd.dtype, dd.decoration, dd.node_embedding, keys, record
-            )
-            groups.setdefault((dtype, tuple(graded.box_idx)), []).append(result)
+    for dtype, dec in sweep_decorations(max_rank):
+        graded = grade_diagram(dtype, dec)
+        sub = generate_subsystem(graded)
+        dd = decorated_diagram(sub)
+        keys = tuple(c.key() for c in classify_cominuscule(dd))
+        # the box stage's record: members, ids and fixed set
+        record, failures = verify._box_stage(graded, images)
+        assert failures == []
+        assert record.members == sub.members
+        result = (sub.members, dd.dtype, dd.decoration, dd.node_embedding, keys, record)
+        groups.setdefault((dtype, tuple(graded.box_idx)), []).append(result)
     return groups
 
 
@@ -533,7 +526,7 @@ def test_box_memo_keeps_no_failed_box(monkeypatch):
     a4 = diagram_type(("A", 4))
     box = tuple(grade_diagram(a4, Decoration.from_string("xoox")).box_idx)
     sharing = sorted(
-        str(d) for d in _decorations(a4) if tuple(grade_diagram(a4, d).box_idx) == box
+        str(d) for d in decorations(4) if tuple(grade_diagram(a4, d).box_idx) == box
     )
     assert len(sharing) == 4  # every decoration crossing nodes 1 and 4
 
@@ -593,12 +586,12 @@ def test_box_stage_takes_the_fixed_set_from_the_subsystems_simple_roots(
     assert sweep(6).ok
     # the first input with each box runs its box stage, in sweep order
     want, seen = [], set()
-    for dtype in sweep_inputs(6):
-        for dec in _decorations(dtype):
-            graded = grade_diagram(dtype, dec)
-            if (dtype, tuple(graded.box_idx)) not in seen:
-                seen.add((dtype, tuple(graded.box_idx)))
-                want.append((dtype, generate_subsystem(graded)._simple_idx))
+    for dtype, dec in sweep_decorations(6):
+        graded = grade_diagram(dtype, dec)
+        if (dtype, tuple(graded.box_idx)) not in seen:
+            seen.add((dtype, tuple(graded.box_idx)))
+            want.append((dtype, generate_subsystem(graded)._simple_idx))
+    assert len(want) == 150
     assert calls == want
 
 
@@ -610,17 +603,16 @@ def test_memo_fixed_set_filtered_by_grade_is_each_inputs_perpendicular_set(
     assert sweep(7).ok
     fixed_of = {(d, m): fixed for d, m, fixed in calls}
     count = 0
-    for dtype in sweep_inputs(7):
-        for dec in _decorations(dtype):
-            graded = grade_diagram(dtype, dec)
-            sub = generate_subsystem(graded)
-            roots = graded.rs.roots
-            kept = fixed_of[dtype, sub.members]
-            perp = frozenset(
-                roots[b] for b in kept if sum(compress(roots[b], dec.crossed)) == 0
-            )
-            assert perp == perpendicular_compacts(sub)
-            count += 1
+    for dtype, dec in sweep_decorations(7):
+        graded = grade_diagram(dtype, dec)
+        sub = generate_subsystem(graded)
+        roots = graded.rs.roots
+        kept = fixed_of[dtype, sub.members]
+        perp = frozenset(
+            roots[b] for b in kept if sum(compress(roots[b], dec.crossed)) == 0
+        )
+        assert perp == perpendicular_compacts(sub)
+        count += 1
     assert count == 1180
 
 
@@ -635,7 +627,7 @@ def _b3_point_box():
     b3 = diagram_type(("B", 3))
     box = tuple(grade_diagram(b3, Decoration.from_string("oxo")).box_idx)
     sharing = [
-        str(d) for d in _decorations(b3) if tuple(grade_diagram(b3, d).box_idx) == box
+        str(d) for d in decorations(3) if tuple(grade_diagram(b3, d).box_idx) == box
     ]
     assert sharing == ["oxo", "xxo", "oxx", "xxx"]
     return b3, box, sharing
@@ -668,22 +660,21 @@ def test_fixed_set_missing_a_compact_root_fails_the_dichotomy(monkeypatch):
 def test_box_record_reads_each_roots_grade_at_its_index():
     count = 0
     images = {}
-    for dtype in sweep_inputs(6):
-        for dec in _decorations(dtype):
-            graded = grade_diagram(dtype, dec)
-            record, failures = verify._box_stage(graded, images)
-            assert failures == []
-            # |grade| of root i, the crossed coefficients' sum, is byte i
-            roots, packed = graded.rs.roots, graded.grades
-            for idx in (sorted(record.members), record.fixed):
-                want = [abs(sum(compress(roots[i], dec.crossed))) for i in idx]
-                assert [packed[i] for i in idx] == want
-            # a root is never fixed by its own reflection
-            assert record.disjoint
-            ids = classify_cominuscule(decorated_diagram(generate_subsystem(graded)))
-            assert record.keys == tuple(c.key() for c in ids)
-            assert len(graded.box_idx) == sum(c.dimension for c in ids)
-            count += 1
+    for dtype, dec in sweep_decorations(6):
+        graded = grade_diagram(dtype, dec)
+        record, failures = verify._box_stage(graded, images)
+        assert failures == []
+        # |grade| of root i, the crossed coefficients' sum, is byte i
+        roots, packed = graded.rs.roots, graded.grades
+        for idx in (sorted(record.members), record.fixed):
+            want = [abs(sum(compress(roots[i], dec.crossed))) for i in idx]
+            assert [packed[i] for i in idx] == want
+        # a root is never fixed by its own reflection
+        assert record.disjoint
+        ids = classify_cominuscule(decorated_diagram(generate_subsystem(graded)))
+        assert record.keys == tuple(c.key() for c in ids)
+        assert len(graded.box_idx) == sum(c.dimension for c in ids)
+        count += 1
     assert count == 545
 
 
@@ -818,7 +809,7 @@ def _a4_box():
     a4 = diagram_type(("A", 4))
     box = tuple(grade_diagram(a4, Decoration.from_string("xoox")).box_idx)
     sharing = [
-        str(d) for d in _decorations(a4) if tuple(grade_diagram(a4, d).box_idx) == box
+        str(d) for d in decorations(4) if tuple(grade_diagram(a4, d).box_idx) == box
     ]
     assert sharing == ["xoox", "xxox", "xoxx", "xxxx"]
     return a4, box, sharing
